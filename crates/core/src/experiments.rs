@@ -32,11 +32,6 @@ pub struct ExperimentSetup {
     /// every control, experimental, and scenario run derived from this
     /// setup.
     pub fuel: Option<u64>,
-    /// Which compiled [`rca_sim::Executor`] engine runs every run derived
-    /// from this setup — the bytecode VM (default) or the slot-indexed
-    /// tree walker. Bit-identical by contract; the CI engine cross-check
-    /// gate compares whole-campaign scorecards across the two.
-    pub engine: rca_sim::ExecEngine,
 }
 
 impl Default for ExperimentSetup {
@@ -52,7 +47,6 @@ impl Default for ExperimentSetup {
             seed: 0xC1,
             retry: RetryPolicy::default(),
             fuel: None,
-            engine: rca_sim::ExecEngine::Vm,
         }
     }
 }
@@ -189,6 +183,12 @@ impl std::fmt::Display for DegradedEnsemble {
 }
 
 impl ExperimentSetup {
+    /// The initial-condition perturbations of the experimental set, one
+    /// per member: every scenario's experimental runs use these.
+    pub fn experiment_perturbations(&self) -> Vec<f64> {
+        perturbations(self.n_experiment, self.ic_magnitude, self.seed ^ 0xDEAD)
+    }
+
     /// A faster configuration for unit/integration tests.
     pub fn quick() -> Self {
         ExperimentSetup {
@@ -212,7 +212,6 @@ pub fn control_config(setup: &ExperimentSetup) -> RunConfig {
     RunConfig {
         steps: setup.steps,
         fuel: setup.fuel,
-        engine: setup.engine,
         ..Default::default()
     }
 }
@@ -347,7 +346,7 @@ pub(crate) fn evaluate_against_ensemble(
     exp_cfg: &RunConfig,
     setup: &ExperimentSetup,
 ) -> Result<ExperimentData, RcaError> {
-    let exp_perts = perturbations(setup.n_experiment, setup.ic_magnitude, setup.seed ^ 0xDEAD);
+    let exp_perts = setup.experiment_perturbations();
     let exp_store =
         EnsembleRuns::run_resilient(exp_program, exp_cfg, &exp_perts, setup.retry.max_retries);
     let exp_health = EnsembleHealth::of(&exp_store);

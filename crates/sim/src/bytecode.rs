@@ -10,8 +10,8 @@
 //! `Vec<Value>` frame.
 //!
 //! **Bit-identity is load-bearing.** The VM must be indistinguishable
-//! from the tree-walking [`crate::exec::Executor`] (and therefore from
-//! the reference interpreter): the emitter reproduces the tree-walker's
+//! from the reference tree-walking [`crate::Interpreter`]: the emitter
+//! reproduces the tree-walker's
 //! evaluation order, coercion points, error messages, and error *timing*
 //! exactly — e.g. numeric intrinsic arguments get one [`Instr::ToNum`]
 //! after each argument's code so a coercion failure still interleaves

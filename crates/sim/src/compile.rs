@@ -124,20 +124,10 @@ impl<'a> Compiler<'a> {
                 c.module_map.insert(module.name.clone(), module);
             }
         }
-        // Pre-scan `call outfld('NAME', ...)` literals so OutputId space is
-        // fixed (sorted, distinct) before any body is lowered: every run's
-        // history is then a dense buffer indexed by OutputId.
-        let mut outputs: Vec<String> = Vec::new();
-        for file in files {
-            for module in &file.modules {
-                for sub in &module.subprograms {
-                    collect_outfld_names(&sub.body, &mut outputs);
-                }
-            }
-        }
-        outputs.sort();
-        outputs.dedup();
-        for name in outputs {
+        // Fix the OutputId space (sorted, distinct) before any body is
+        // lowered: every run's history is then a dense buffer indexed by
+        // OutputId.
+        for name in outfld_table(files) {
             c.syms.intern_output(&name);
         }
         c
@@ -1226,8 +1216,26 @@ struct ProcCx<'a> {
     binds: HashMap<String, Option<VarBind>>,
 }
 
-/// Collects lowercased `call outfld('NAME', ...)` name literals — the
-/// pre-scan that fixes the dense `OutputId` space before lowering.
+/// The sorted, distinct, lowercased `call outfld('NAME', ...)` name
+/// literals of every subprogram — the pre-scan that fixes the dense
+/// `OutputId` space. The compiler interns outputs in this order and the
+/// reference interpreter numbers them the same way, so fault plans
+/// address the same output on both engines.
+pub(crate) fn outfld_table(files: &[SourceFile]) -> Vec<String> {
+    let mut outputs: Vec<String> = Vec::new();
+    for file in files {
+        for module in &file.modules {
+            for sub in &module.subprograms {
+                collect_outfld_names(&sub.body, &mut outputs);
+            }
+        }
+    }
+    outputs.sort();
+    outputs.dedup();
+    outputs
+}
+
+/// Collects lowercased `call outfld('NAME', ...)` name literals.
 fn collect_outfld_names(stmts: &[Stmt], out: &mut Vec<String>) {
     for stmt in stmts {
         match stmt {

@@ -1,13 +1,11 @@
 //! Runtime fault injection — the deterministic chaos axis of the
 //! fault-tolerance plane.
 //!
-//! A [`FaultPlan`] is a seeded list of [`Fault`]s the
-//! [`Executor`](crate::Executor)
-//! applies *mid-run*, independent of source mutation: real ensemble
-//! members crash, hang, and emit non-finite values without any bug in
-//! the model source, and the RCA service has to degrade gracefully
-//! instead of erroring out. Three fault kinds cover those failure
-//! modes:
+//! A [`FaultPlan`] is a seeded list of [`Fault`]s applied *mid-run*,
+//! independent of source mutation: real ensemble members crash, hang,
+//! and emit non-finite values without any bug in the model source, and
+//! the RCA service has to degrade gracefully instead of erroring out.
+//! Three fault kinds cover those failure modes:
 //!
 //! - **poisoning** ([`FaultKind::PoisonNan`] / [`FaultKind::PoisonInf`]):
 //!   from the fault step on, one output field records a non-finite
@@ -17,8 +15,8 @@
 //!   one output freezes at its last written value — a silent data
 //!   corruption the consistency test may legitimately flag;
 //! - **member-abort** ([`FaultKind::Abort`]): the run dies at the fault
-//!   step with a structured [`RuntimeError`](crate::RuntimeError) whose
-//!   context is [`FAULT_CONTEXT`] — the ensemble layer retries and then
+//!   step with a structured [`RuntimeError`] whose context is
+//!   [`FAULT_CONTEXT`] — the ensemble layer retries and then
 //!   quarantines the member.
 //!
 //! Faults target a `(member, step, output)` coordinate; the output index
@@ -27,12 +25,17 @@
 //! Transient faults (`persistent == false`) strike only attempt 0 of a
 //! member and vanish on retry; persistent faults strike every attempt.
 //!
-//! The plan is an **Executor-only** axis: the tree-walking reference
-//! `Interpreter` ignores it (like `fuel`), and the differential suites
-//! only ever run zero-fault configurations — with an empty plan the
-//! executor's hot path is byte-identical to a build without this module
-//! (asserted by the `fault_overhead` bench entry).
+//! Both engines apply a plan through one `MemberFaults`: the bytecode
+//! VM ([`Executor`](crate::Executor)) at its `outfld` store and the
+//! start of each driver step, the reference
+//! [`Interpreter`](crate::Interpreter) at `builtin_outfld` and in
+//! [`run_loaded`](crate::run_loaded). Output indices are the same on
+//! both sides: the interpreter numbers outputs with the compiler's
+//! sorted `outfld` pre-scan. The statement-fuel budget error is shared
+//! the same way (`fuel_exhausted`). With an empty plan every hook is a
+//! guarded no-op, so zero-fault runs are unchanged.
 
+use crate::interp::RuntimeError;
 use serde::{Deserialize, Serialize};
 
 /// `RuntimeError::context` marker for injected member-abort faults.
@@ -59,7 +62,7 @@ pub enum FaultKind {
     /// Output freezes at its previous written value from the fault step
     /// on (first write at the fault step passes through unchanged).
     Stuck,
-    /// The run aborts with a retryable [`RuntimeError`](crate::RuntimeError)
+    /// The run aborts with a retryable [`RuntimeError`]
     /// when the fault step begins.
     Abort,
 }
@@ -83,8 +86,8 @@ pub struct Fault {
 
 /// A deterministic, seeded set of runtime faults.
 ///
-/// The default plan is empty and costs nothing: the executor guards
-/// every fault hook on emptiness, keeping zero-fault runs byte-identical
+/// The default plan is empty and costs nothing: both engines guard every
+/// fault hook on emptiness, keeping zero-fault runs byte-identical
 /// ("degrade, never diverge").
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPlan {
@@ -174,6 +177,124 @@ impl FaultPlan {
         }
         h
     }
+}
+
+/// A [`FaultPlan`] resolved for one `(member, attempt)` run: the output
+/// faults that strike it and its earliest abort step. Both engines hold
+/// one and re-resolve it per ensemble member with
+/// [`MemberFaults::begin`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MemberFaults {
+    plan: FaultPlan,
+    /// The program's output count (fault output indices wrap modulo it).
+    outputs: u32,
+    /// Ensemble member identity (0 for single runs) — error context only.
+    member: u32,
+    /// Retry attempt (0 = first run); transient faults strike only 0.
+    attempt: u32,
+    /// Output faults striking this member/attempt, output index already
+    /// resolved. Empty on the zero-fault path.
+    active: Vec<Fault>,
+    /// Earliest injected abort step for this member/attempt, if any.
+    abort_at: Option<u32>,
+}
+
+impl MemberFaults {
+    /// Resolves `plan` for member 0, attempt 0 over `outputs` outputs.
+    pub(crate) fn new(plan: FaultPlan, outputs: usize) -> MemberFaults {
+        let mut f = MemberFaults {
+            plan,
+            outputs: outputs as u32,
+            ..MemberFaults::default()
+        };
+        f.begin(0, 0);
+        f
+    }
+
+    /// Re-resolves the plan for `(member, attempt)`.
+    pub(crate) fn begin(&mut self, member: u32, attempt: u32) {
+        self.member = member;
+        self.attempt = attempt;
+        self.active.clear();
+        self.abort_at = None;
+        for f in self.plan.active_for(member, attempt) {
+            if f.kind == FaultKind::Abort {
+                self.abort_at = Some(self.abort_at.map_or(f.step, |s| s.min(f.step)));
+            } else {
+                let mut f = f.clone();
+                if self.outputs > 0 {
+                    f.output %= self.outputs;
+                }
+                self.active.push(f);
+            }
+        }
+    }
+
+    /// The member this run represents.
+    pub(crate) fn member(&self) -> u32 {
+        self.member
+    }
+
+    /// Whether any output fault strikes this run (callers skip
+    /// [`MemberFaults::adjust`] otherwise).
+    pub(crate) fn strikes_outputs(&self) -> bool {
+        !self.active.is_empty()
+    }
+
+    /// Applies the output faults to an `outfld` mean of output `out` at
+    /// `step`: poisoning substitutes a non-finite value, stuck freezes
+    /// the output at `last`, its last written value this run (the first
+    /// write passes through, then sticks).
+    pub(crate) fn adjust(
+        &self,
+        out: u32,
+        step: u32,
+        mean: f64,
+        last: impl FnOnce() -> Option<f64>,
+    ) -> f64 {
+        let Some(f) = self
+            .active
+            .iter()
+            .find(|f| f.output == out && step >= f.step)
+        else {
+            return mean;
+        };
+        match f.kind {
+            FaultKind::PoisonNan => f64::NAN,
+            FaultKind::PoisonInf => f64::INFINITY,
+            FaultKind::Stuck => last().unwrap_or(mean),
+            // Aborts are resolved into `abort_at`, never `active`.
+            FaultKind::Abort => mean,
+        }
+    }
+
+    /// The injected member abort, if one strikes as driver step `step`
+    /// begins.
+    pub(crate) fn abort(&self, step: u32) -> Result<(), RuntimeError> {
+        if self.abort_at != Some(step) {
+            return Ok(());
+        }
+        Err(RuntimeError::new(
+            format!(
+                "injected member-abort fault at step {step} (member {}, attempt {})",
+                self.member, self.attempt
+            ),
+            FAULT_CONTEXT,
+            0,
+        ))
+    }
+}
+
+/// The budget error of a run whose statement fuel (`limit` statements)
+/// ran out at `step`. Both engines check fuel before each statement and
+/// raise this when it is zero.
+pub(crate) fn fuel_exhausted(limit: u64, step: u32, member: u32) -> RuntimeError {
+    rca_obs::counter_inc!("run.budget_exhausted", 1);
+    RuntimeError::new(
+        format!("statement fuel budget of {limit} exhausted at step {step} (member {member})"),
+        BUDGET_CONTEXT,
+        0,
+    )
 }
 
 #[cfg(test)]

@@ -17,7 +17,15 @@
 //!    recorded (the Intel-codecov substitute), and configured variables
 //!    are snapshotted at a chosen time step (the runtime instrumentation
 //!    of Algorithm 5.4 step 7).
+//!
+//! It is the **reference engine**: slow and obviously correct, and the
+//! bytecode VM behind [`crate::Executor`] must match it bit for bit —
+//! values, coverage, and error text — on every axis, including the
+//! runtime fault plan ([`RunConfig::faults`]) and the statement-fuel
+//! budget ([`RunConfig::fuel`]), which both engines apply through the
+//! same [`crate::fault`] helpers.
 
+use crate::fault::{fuel_exhausted, MemberFaults};
 use crate::ops::{assign_into, binary_op, unary_op, write_elem, Flow, RunResult};
 use crate::prng::{make_prng, Prng, PrngKind};
 use crate::value::Value;
@@ -137,20 +145,18 @@ pub struct RunConfig {
     pub sample_step: Option<u32>,
     /// Instrumented variables.
     pub samples: Vec<SampleSpec>,
-    /// Runtime fault injection plan (the chaos axis). **Executor-only**:
-    /// the tree-walking reference engine ignores it, and differential
-    /// suites only ever run zero-fault configurations. Empty by default,
-    /// and an empty plan leaves the hot path byte-identical.
+    /// Runtime fault injection plan (the chaos axis), applied by both
+    /// engines through the shared [`crate::fault`] helpers — the
+    /// [`crate::Executor`] and the reference [`Interpreter`] resolve it
+    /// per `(member, attempt)` (`begin_member`) and must agree bit for
+    /// bit under it. Empty by default, and an empty plan leaves the hot
+    /// path byte-identical.
     pub faults: crate::fault::FaultPlan,
-    /// Statement-fuel budget per run. **Executor-only**, like `faults`.
-    /// `None` means unlimited; exhaustion aborts the run with a
-    /// retryable budget error instead of hanging.
+    /// Statement-fuel budget per run, honoured by both engines with the
+    /// same check-then-decrement at statement entry. `None` means
+    /// unlimited; exhaustion aborts the run with a retryable budget
+    /// error ([`crate::BUDGET_CONTEXT`]) instead of hanging.
     pub fuel: Option<u64>,
-    /// Which [`crate::Executor`] engine runs the program: the bytecode
-    /// [`crate::exec::ExecEngine::Vm`] (default) or the slot-indexed tree
-    /// walker kept for the three-way differential sweep. Bit-identical by
-    /// contract; the reference [`Interpreter`] ignores this.
-    pub engine: crate::exec::ExecEngine,
 }
 
 impl Default for RunConfig {
@@ -165,7 +171,6 @@ impl Default for RunConfig {
             samples: Vec::new(),
             faults: crate::fault::FaultPlan::default(),
             fuel: None,
-            engine: crate::exec::ExecEngine::default(),
         }
     }
 }
@@ -239,6 +244,9 @@ struct Frame {
 /// The interpreter instance: load once, run one simulation.
 pub struct Interpreter {
     modules: HashMap<String, ModuleDef>,
+    /// Module names in source order (first definition), the order the
+    /// loader forces module globals in — the compiler's order.
+    module_order: Vec<String>,
     procs: HashMap<String, Vec<usize>>,
     proc_defs: Vec<ProcDef>,
     types: HashMap<String, (String, DerivedType)>,
@@ -250,6 +258,15 @@ pub struct Interpreter {
     prng: Box<dyn Prng>,
     config: RunConfig,
     step: u32,
+    /// The compiler's sorted `outfld` table: output name → `OutputId`
+    /// position, the index space fault plans address.
+    outputs: Vec<String>,
+    /// The run's fault plan, resolved per `(member, attempt)`.
+    pub(crate) faults: MemberFaults,
+    /// Configured statement budget (`u64::MAX` = unlimited).
+    fuel_limit: u64,
+    /// Remaining statements this run; 0 aborts with a budget error.
+    fuel: u64,
     /// History output buffer.
     pub history: History,
     /// Executed (module, subprogram) pairs — the codecov substitute.
@@ -271,8 +288,11 @@ impl std::fmt::Debug for Interpreter {
 impl Interpreter {
     /// Loads parsed sources into an executable image.
     pub fn load(files: &[SourceFile], config: RunConfig) -> RunResult<Interpreter> {
+        let outputs = crate::compile::outfld_table(files);
+        let fuel_limit = config.fuel.unwrap_or(u64::MAX);
         let mut interp = Interpreter {
             modules: HashMap::new(),
+            module_order: Vec::new(),
             procs: HashMap::new(),
             proc_defs: Vec::new(),
             types: HashMap::new(),
@@ -281,6 +301,10 @@ impl Interpreter {
             binding_cache: HashMap::new(),
             pbuf: HashMap::new(),
             prng: make_prng(config.prng, config.prng_seed),
+            faults: MemberFaults::new(config.faults.clone(), outputs.len()),
+            outputs,
+            fuel_limit,
+            fuel: fuel_limit,
             config,
             step: 0,
             history: History::default(),
@@ -293,22 +317,25 @@ impl Interpreter {
             }
         }
         // Force-evaluate every module-level variable now so dependency
-        // cycles surface at load time.
-        let keys: Vec<(String, String)> = interp
-            .modules
-            .iter()
-            .flat_map(|(m, def)| {
-                def.decls
-                    .iter()
-                    .flat_map(|d| d.entities.iter().map(|e| (m.clone(), e.name.clone())))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (m, n) in keys {
-            let mut in_progress = HashSet::new();
-            interp.ensure_global(&m, &n, &mut in_progress)?;
+        // cycles surface at load time — in source order (modules, then
+        // declarations), exactly the compiler's `force_globals`, so the
+        // first failing global and its error text are deterministic and
+        // match `compile_model`.
+        for m in interp.module_order.clone() {
+            for n in interp.module_var_names(&m) {
+                let mut in_progress = HashSet::new();
+                interp.ensure_global(&m, &n, &mut in_progress)?;
+            }
         }
         Ok(interp)
+    }
+
+    /// Declares which ensemble member (and retry attempt) this run
+    /// represents, re-resolving the fault plan for that coordinate —
+    /// [`crate::Executor::begin_member`]'s twin. Call before
+    /// [`crate::run_loaded`]; runs default to member 0, attempt 0.
+    pub fn begin_member(&mut self, member: u32, attempt: u32) {
+        self.faults.begin(member, attempt);
     }
 
     fn ingest_module(&mut self, module: &Module) {
@@ -335,6 +362,9 @@ impl Interpreter {
                 writeback,
             });
             self.procs.entry(sub.name.clone()).or_default().push(idx);
+        }
+        if !self.modules.contains_key(&module.name) {
+            self.module_order.push(module.name.clone());
         }
         self.modules.insert(
             module.name.clone(),
@@ -811,6 +841,16 @@ impl Interpreter {
     }
 
     fn exec_stmt(&mut self, frame: &mut Frame, stmt: &Stmt) -> RunResult<Flow> {
+        // Statement fuel: check-then-decrement so the configured limit is
+        // exact. The unlimited default (`u64::MAX`) never trips.
+        if self.fuel == 0 {
+            return Err(fuel_exhausted(
+                self.fuel_limit,
+                self.step,
+                self.faults.member(),
+            ));
+        }
+        self.fuel -= 1;
         match stmt {
             Stmt::Assign {
                 target,
@@ -982,6 +1022,18 @@ impl Interpreter {
             }
         };
         let step = self.step;
+        let mean = if self.faults.strikes_outputs() {
+            let out = self
+                .outputs
+                .binary_search(&name)
+                .expect("outfld literals are in the pre-scanned table");
+            let history = &self.history;
+            self.faults.adjust(out as u32, step, mean, || {
+                history.series(&name).and_then(|s| s.last().copied())
+            })
+        } else {
+            mean
+        };
         self.history.record(step, &name, mean);
         Ok(())
     }

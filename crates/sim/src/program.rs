@@ -447,7 +447,7 @@ pub struct Program {
     /// The lowered bytecode tier (one [`crate::bytecode::BProc`] per
     /// entry of [`Program::procs`]), attached by `compile_sources` after
     /// the tree IR is sealed. The register VM in [`crate::exec`] runs
-    /// this; the tree walkers ignore it.
+    /// this.
     pub(crate) bc: crate::bytecode::Bytecode,
 }
 

@@ -151,8 +151,10 @@ pub fn run_program(
 }
 
 /// Drives an already-loaded tree-walking interpreter through a full
-/// simulation. Retained for the reference engine (differential testing
-/// and spot verification against [`run_program`]).
+/// simulation — the reference engine's [`Executor::drive`], injected
+/// member aborts included (call [`Interpreter::begin_member`] first to
+/// run as an ensemble member). Used by the differential suites to check
+/// [`run_program`] against the reference.
 pub fn run_loaded(
     interp: &mut Interpreter,
     config: &RunConfig,
@@ -160,6 +162,7 @@ pub fn run_loaded(
 ) -> Result<RunOutput, RuntimeError> {
     interp.call("cam_init", &[Value::Real(pert)])?;
     for step in 0..config.steps {
+        interp.faults.abort(step)?;
         interp.set_step(step);
         interp.call("cam_run_step", &[])?;
         if config.sample_step == Some(step) {

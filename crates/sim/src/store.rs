@@ -220,7 +220,9 @@ impl MemberHealth {
 /// Derived perturbation for retry `attempt` (0 = the original): a
 /// relative nudge at the same magnitude scale, so a recovered member is
 /// still a valid draw from the perturbation distribution.
-fn retry_pert(pert: f64, attempt: u32) -> f64 {
+/// [`EnsembleRuns::run_resilient`] runs member attempts with it; the
+/// differential suites replay the same attempts on the reference engine.
+pub fn retry_pert(pert: f64, attempt: u32) -> f64 {
     if attempt == 0 {
         pert
     } else {

@@ -1,23 +1,26 @@
-//! Differential suite: all three engine tiers must be **bit-identical**.
+//! Differential suite: the two engines must be **bit-identical**.
 //!
 //! This is the proof obligation of the parse → compile → execute
 //! pipeline: for every paper experiment (source patches, PRNG
 //! substitution, AVX2/FMA contraction) and for instrumented runs, the
 //! histories, captured samples, and coverage sets of the tree-walking
-//! reference [`rca_sim::Interpreter`], the slot-indexed tree executor
-//! ([`ExecEngine::Tree`]), and the bytecode VM ([`ExecEngine::Vm`], the
-//! default behind [`rca_sim::run_program`]) must agree to the last bit.
-//! Any divergence — an evaluation-order slip, a missed FMA shape, a
-//! scoping difference, a mis-lowered instruction — fails here before it
-//! can silently corrupt the statistical layer. The runtime fault axis,
-//! which the reference interpreter does not implement, is held identical
-//! between the two compiled engines by a dedicated store-level test.
+//! reference [`rca_sim::Interpreter`] and the bytecode VM behind
+//! [`rca_sim::run_program`] must agree to the last bit. Any divergence —
+//! an evaluation-order slip, a missed FMA shape, a scoping difference, a
+//! mis-lowered instruction — fails here before it can silently corrupt
+//! the statistical layer. The runtime fault axis is held to the same
+//! standard: both engines apply a seeded [`FaultPlan`] per
+//! `(member, attempt)` and must agree on histories and error text under
+//! it, including injected aborts and fuel-budget errors.
 
+use rca_fortran::ast::SourceFile;
 use rca_model::{generate, Experiment, ModelConfig, ModelSource};
 use rca_sim::{
-    compile_model, kernel_sample_specs, perturbations, run_loaded, run_program, Avx2Policy,
-    EnsembleRuns, ExecEngine, FaultPlan, Interpreter, PrngKind, RunConfig, RunOutput,
+    compile_model, kernel_sample_specs, perturbations, retry_pert, run_loaded, run_program,
+    Avx2Policy, EnsembleRuns, Executor, FaultPlan, Interpreter, MemberHealth, PrngKind, Program,
+    RunConfig, RunOutput, RuntimeError, BUDGET_CONTEXT, FAULT_CONTEXT,
 };
+use std::sync::Arc;
 
 fn tree_walk(model: &ModelSource, config: &RunConfig, pert: f64) -> RunOutput {
     let (asts, errs) = model.parse();
@@ -26,28 +29,13 @@ fn tree_walk(model: &ModelSource, config: &RunConfig, pert: f64) -> RunOutput {
     run_loaded(&mut interp, config, pert).expect("tree-walk run")
 }
 
-fn compiled_as(
-    model: &ModelSource,
-    config: &RunConfig,
-    pert: f64,
-    engine: ExecEngine,
-) -> RunOutput {
-    let cfg = RunConfig {
-        engine,
-        ..config.clone()
-    };
-    let program = compile_model(model).expect("compile");
-    run_program(&program, &cfg, pert).expect("compiled run")
-}
-
-/// The three-way check: interpreter vs tree executor vs bytecode VM,
-/// pairwise bit-identical.
-fn assert_three_way(label: &str, model: &ModelSource, config: &RunConfig, pert: f64) {
+/// The engine check: reference interpreter vs bytecode VM,
+/// bit-identical.
+fn assert_engines_agree(label: &str, model: &ModelSource, config: &RunConfig, pert: f64) {
     let reference = tree_walk(model, config, pert);
-    let tree = compiled_as(model, config, pert, ExecEngine::Tree);
-    let vm = compiled_as(model, config, pert, ExecEngine::Vm);
-    assert_identical(&format!("{label}/interp-vs-tree"), &reference, &tree);
-    assert_identical(&format!("{label}/tree-vs-vm"), &tree, &vm);
+    let program = compile_model(model).expect("compile");
+    let vm = run_program(&program, config, pert).expect("compiled run");
+    assert_identical(&format!("{label}/interp-vs-vm"), &reference, &vm);
 }
 
 /// Asserts bit-identical histories, samples, and coverage.
@@ -122,7 +110,7 @@ fn engines_agree_on_all_paper_experiments() {
             model.apply(e)
         };
         let cfg = experiment_config(e, 4);
-        assert_three_way(e.name(), &variant, &cfg, 0.0);
+        assert_engines_agree(e.name(), &variant, &cfg, 0.0);
     }
 }
 
@@ -174,7 +162,7 @@ fn engines_agree_under_perturbation() {
         ..Default::default()
     };
     for pert in [0.0, 1e-14, -3e-14, 1e-10] {
-        assert_three_way(&format!("pert={pert:e}"), &model, &cfg, pert);
+        assert_engines_agree(&format!("pert={pert:e}"), &model, &cfg, pert);
     }
 }
 
@@ -193,7 +181,7 @@ fn engines_agree_with_full_kernel_instrumentation() {
     };
     let a = tree_walk(&model, &cfg, 0.0);
     assert!(!a.samples.is_empty(), "instrumentation captured nothing");
-    assert_three_way("kernel-instrumented", &model, &cfg, 0.0);
+    assert_engines_agree("kernel-instrumented", &model, &cfg, 0.0);
 }
 
 #[test]
@@ -207,7 +195,7 @@ fn engines_agree_under_per_module_fma() {
             fma_scale: 1.0,
             ..Default::default()
         };
-        assert_three_way(&format!("fma-only-{module}"), &model, &cfg, 0.0);
+        assert_engines_agree(&format!("fma-only-{module}"), &model, &cfg, 0.0);
     }
 }
 
@@ -219,58 +207,111 @@ fn engines_agree_at_medium_scale() {
         steps: 2,
         ..Default::default()
     };
-    assert_three_way("medium", &model, &cfg, 1e-14);
+    assert_engines_agree("medium", &model, &cfg, 1e-14);
+}
+
+/// One ensemble-member attempt on the reference interpreter.
+fn interpret_member(
+    asts: &[SourceFile],
+    config: &RunConfig,
+    pert: f64,
+    member: u32,
+    attempt: u32,
+) -> Result<RunOutput, RuntimeError> {
+    let mut interp = Interpreter::load(asts, config.clone())?;
+    interp.begin_member(member, attempt);
+    run_loaded(&mut interp, config, pert)
+}
+
+/// The same attempt on the bytecode VM.
+fn vm_member(
+    program: &Arc<Program>,
+    config: &RunConfig,
+    pert: f64,
+    member: u32,
+    attempt: u32,
+) -> Result<RunOutput, RuntimeError> {
+    let mut ex = Executor::new(Arc::clone(program), config);
+    ex.begin_member(member, attempt);
+    ex.drive(pert)?;
+    Ok(ex.into_run_output())
+}
+
+/// The member health `run_resilient` records for a member whose last
+/// attempt (number `attempt`) ended in `last`.
+fn health_of(last: &Result<RunOutput, RuntimeError>, attempt: u32) -> MemberHealth {
+    match last {
+        Ok(_) if attempt == 0 => MemberHealth::Healthy,
+        Ok(_) => MemberHealth::Recovered { retries: attempt },
+        Err(e) => MemberHealth::Quarantined { error: e.clone() },
+    }
+}
+
+/// Both engines must agree on one attempt's outcome: bit-identical runs,
+/// or the same error (message, context, line).
+fn assert_same_outcome(
+    label: &str,
+    a: &Result<RunOutput, RuntimeError>,
+    b: &Result<RunOutput, RuntimeError>,
+) {
+    match (a, b) {
+        (Ok(a), Ok(b)) => assert_identical(label, a, b),
+        (Err(a), Err(b)) => assert_eq!(a, b, "{label}: errors differ"),
+        (a, b) => panic!("{label}: one engine failed: interp={a:?} vm={b:?}"),
+    }
 }
 
 #[test]
-fn tree_and_vm_agree_under_seeded_faults() {
-    // The fault axis is compiled-engines-only (the reference interpreter
-    // ignores it), so parity under injected faults is a tree-vs-vm
-    // obligation: the same seeded FaultPlan — aborts, retries,
-    // quarantines, poisoned and stuck outputs — must leave both engines'
-    // resilient stores bit-identical in data, series lengths, coverage,
-    // and member health.
+fn interpreter_and_vm_agree_under_seeded_faults() {
+    // The same seeded FaultPlan — aborts, poisoned and stuck outputs —
+    // resolved per (member, attempt) on both engines, walking each
+    // member's attempts the way `run_resilient` does (retry perturbation
+    // included): every attempt must agree on values or error text, and
+    // the VM's resilient store must hold exactly the interpreter's final
+    // outcome per member. A tight fuel budget adds budget errors.
     let model = generate(&ModelConfig::test());
+    let (asts, errs) = model.parse();
+    assert!(errs.is_empty(), "{errs:?}");
     let program = compile_model(&model).expect("compile");
     let perts = perturbations(6, 1e-14, 0x5EED);
+    let retries = 2u32;
+    let (mut aborts, mut budgets) = (0, 0);
     for fault_seed in [0xFA17u64, 0xDEAD_BEEF, 42] {
-        let base = RunConfig {
-            steps: 6,
-            faults: FaultPlan::seeded(fault_seed, perts.len(), 6, 8),
-            ..Default::default()
-        };
-        let run = |engine: ExecEngine| {
+        for fuel in [None, Some(25_000)] {
             let cfg = RunConfig {
-                engine,
-                ..base.clone()
+                steps: 6,
+                faults: FaultPlan::seeded(fault_seed, perts.len(), 6, 8),
+                fuel,
+                ..Default::default()
             };
-            EnsembleRuns::run_resilient(&program, &cfg, &perts, 2)
-        };
-        let tree = run(ExecEngine::Tree);
-        let vm = run(ExecEngine::Vm);
-        assert_eq!(
-            format!("{:?}", tree.health()),
-            format!("{:?}", vm.health()),
-            "seed {fault_seed:#x}: member health differs"
-        );
-        for m in 0..perts.len() {
-            assert_eq!(
-                tree.written_of(m),
-                vm.written_of(m),
-                "seed {fault_seed:#x}/member {m}: written differs"
-            );
-            for step in 0..6 {
-                let a = tree.step_plane(m, step);
-                let b = vm.step_plane(m, step);
-                for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                    assert!(
-                        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
-                        "seed {fault_seed:#x}/member {m}/step {step}[{i}]: {x:e} != {y:e}"
-                    );
+            let store = EnsembleRuns::run_resilient(&program, &cfg, &perts, retries);
+            for (m, &pert) in perts.iter().enumerate() {
+                let label = format!("seed {fault_seed:#x}/fuel {fuel:?}/member {m}");
+                let mut attempt = 0;
+                let last = loop {
+                    let p = retry_pert(pert, attempt);
+                    let reference = interpret_member(&asts, &cfg, p, m as u32, attempt);
+                    let vm = vm_member(&program, &cfg, p, m as u32, attempt);
+                    assert_same_outcome(&format!("{label}/attempt {attempt}"), &reference, &vm);
+                    match &reference {
+                        Err(e) if e.context == FAULT_CONTEXT => aborts += 1,
+                        Err(e) if e.context == BUDGET_CONTEXT => budgets += 1,
+                        _ => {}
+                    }
+                    if reference.is_ok() || attempt == retries {
+                        break reference;
+                    }
+                    attempt += 1;
+                };
+                assert_eq!(store.health()[m], health_of(&last, attempt), "{label}");
+                if let Ok(run) = last {
+                    assert_identical(&label, &run, &store.view(m).materialize());
                 }
             }
         }
     }
+    assert!(aborts > 0, "no injected abort was exercised");
+    assert!(budgets > 0, "no fuel budget error was exercised");
 }
 
 #[test]
@@ -285,5 +326,40 @@ fn compiled_initial_globals_match_interpreter_load() {
             let b = interp.global(module, &name);
             assert_eq!(a, b, "{module}::{name} initial value differs");
         }
+    }
+}
+
+#[test]
+fn load_errors_are_deterministic_and_match_the_compiler() {
+    // Deleting the `pcols` parameter leaves many modules with an
+    // undefined constant. Which one the loader reports depends on the
+    // order it forces module globals in: both engines must force them in
+    // source order, so every load reports the compiler's error, not a
+    // hash-order pick.
+    let mut model = generate(&ModelConfig::test());
+    let removed = model
+        .files
+        .iter_mut()
+        .find_map(|f| {
+            let line = f
+                .source
+                .lines()
+                .find(|l| l.contains("parameter :: pcols ="))?
+                .to_string();
+            f.source = f.source.replace(&format!("{line}\n"), "");
+            Some(line)
+        })
+        .expect("the test model defines pcols");
+    let expected = compile_model(&model).expect_err("pcols-less model must not compile");
+    assert!(
+        expected.message.starts_with("undefined constant pcols in"),
+        "unexpected compile error after removing `{removed}`: {expected}"
+    );
+    let (asts, errs) = model.parse();
+    assert!(errs.is_empty(), "{errs:?}");
+    for i in 0..5 {
+        let err = Interpreter::load(&asts, RunConfig::default())
+            .expect_err("pcols-less model must not load");
+        assert_eq!(err, expected, "load {i}: error differs from compile_model");
     }
 }

@@ -2,18 +2,16 @@
 //! the generated model's elementwise loops, and every *edge* the runtime
 //! validation guards — non-unit step, zero-trip bounds, fuel exhaustion
 //! mid-loop — must leave the VM bit-identical (results *and* errors)
-//! with the tree executor and the reference interpreter.
+//! with the reference interpreter.
 //!
-//! The broad three-way differential suite (`tests/differential.rs`)
+//! The broad differential suite (`tests/differential.rs`)
 //! proves parity on the generated model at scale; this file pins the
 //! kernel-specific corners with a handwritten model whose loops hit
 //! same-array read/write, write-then-read across statements, derived
 //! fields, `min`/`max`/`sign` folds, `**`, and unary minus.
 
 use rca_model::{generate, Component, ModelConfig, ModelFile, ModelSource};
-use rca_sim::{
-    compile_model, run_loaded, run_program, ExecEngine, Interpreter, RunConfig, RunOutput,
-};
+use rca_sim::{compile_model, run_loaded, run_program, Interpreter, RunConfig, RunOutput};
 
 const KEDGE: &str = r#"
 module ktypes
@@ -107,10 +105,10 @@ fn generated_model_compiles_kernels() {
     assert!(program.instr_count() > 0);
 }
 
-/// Handwritten kernel edge cases: three-way bit-identity, and the
-/// kernelizable loop really compiled to a kernel.
+/// Handwritten kernel edge cases: interpreter-vs-VM bit-identity, and
+/// the kernelizable loop really compiled to a kernel.
 #[test]
-fn kernel_edge_cases_are_three_way_identical() {
+fn kernel_edge_cases_are_identical_across_engines() {
     let model = kedge_model();
     let cfg = RunConfig {
         steps: 9,
@@ -123,56 +121,49 @@ fn kernel_edge_cases_are_three_way_identical() {
         "the elementwise loop did not kernelize"
     );
 
+    let reference = interpret(&model, &cfg, 1.0e-14).expect("tree-walk run");
+    let vm = run_program(&program, &cfg, 1.0e-14).expect("vm run");
+    assert_series_identical("interp-vs-vm", &reference, &vm);
+}
+
+/// Runs `model` on the reference interpreter.
+fn interpret(
+    model: &ModelSource,
+    cfg: &RunConfig,
+    pert: f64,
+) -> Result<RunOutput, rca_sim::RuntimeError> {
     let (asts, errs) = model.parse();
     assert!(errs.is_empty(), "{errs:?}");
-    let mut interp = Interpreter::load(&asts, cfg.clone()).expect("load");
-    let reference = run_loaded(&mut interp, &cfg, 1.0e-14).expect("tree-walk run");
-
-    let tree = run_program(
-        &program,
-        &RunConfig {
-            engine: ExecEngine::Tree,
-            ..cfg.clone()
-        },
-        1.0e-14,
-    )
-    .expect("tree run");
-    let vm = run_program(&program, &cfg, 1.0e-14).expect("vm run");
-
-    assert_series_identical("interp-vs-tree", &reference, &tree);
-    assert_series_identical("tree-vs-vm", &tree, &vm);
+    let mut interp = Interpreter::load(&asts, cfg.clone())?;
+    run_loaded(&mut interp, cfg, pert)
 }
 
 /// Fuel exhaustion *inside* a kernelized loop: the VM pre-checks the
 /// budget and falls back, so the budget error must strike at the exact
-/// statement — identical message, context, and line — as the tree
-/// executor's per-statement accounting.
+/// statement — identical message, context, and line — as the reference
+/// interpreter's per-statement accounting.
 #[test]
-fn kernel_fuel_exhaustion_matches_tree_exactly() {
+fn kernel_fuel_exhaustion_matches_interpreter_exactly() {
     let model = kedge_model();
     let program = compile_model(&model).expect("compile");
-    let run = |engine: ExecEngine, fuel: u64| {
-        let cfg = RunConfig {
-            steps: 9,
-            fuel: Some(fuel),
-            engine,
-            ..Default::default()
-        };
-        run_program(&program, &cfg, 0.0)
+    let cfg = |fuel: u64| RunConfig {
+        steps: 9,
+        fuel: Some(fuel),
+        ..Default::default()
     };
     // Sweep budgets from "dies in cam_init" through "dies mid-kernel" to
-    // "completes": every outcome must match the tree engine exactly.
+    // "completes": every outcome must match the interpreter exactly.
     for fuel in [1, 5, 20, 23, 24, 25, 40, 60, 100, 100_000] {
-        let tree = run(ExecEngine::Tree, fuel);
-        let vm = run(ExecEngine::Vm, fuel);
-        match (tree, vm) {
+        let reference = interpret(&model, &cfg(fuel), 0.0);
+        let vm = run_program(&program, &cfg(fuel), 0.0);
+        match (reference, vm) {
             (Ok(a), Ok(b)) => assert_series_identical(&format!("fuel={fuel}"), &a, &b),
             (Err(a), Err(b)) => {
                 assert_eq!(a.message, b.message, "fuel={fuel}: messages differ");
                 assert_eq!(a.context, b.context, "fuel={fuel}: contexts differ");
                 assert_eq!(a.line, b.line, "fuel={fuel}: lines differ");
             }
-            (a, b) => panic!("fuel={fuel}: one engine failed: tree={a:?} vm={b:?}"),
+            (a, b) => panic!("fuel={fuel}: one engine failed: interp={a:?} vm={b:?}"),
         }
     }
 }

@@ -147,14 +147,17 @@
 //! the Fortran once and lowers it into a slot-indexed
 //! [`sim::Program`] — interned symbols, pre-resolved call targets and
 //! variable bindings (module globals become arena indices, subprogram
-//! locals become frame offsets) — and every run is then a cheap
-//! [`sim::Executor`] over the shared `Arc<Program>`: the hot
-//! `cam_run_step` loop never hashes a name or touches a `String`. The
-//! original tree-walking `sim::Interpreter` survives as the *reference
-//! engine*; a differential suite holds the two bit-identical (histories,
-//! samples, coverage) across all paper experiments and seeded campaign
-//! mutants, which is the proof that the compilation step is
-//! semantics-preserving.
+//! locals become frame offsets) — flattened into register bytecode with
+//! column step-kernels for elementwise loops. Every run is then a cheap
+//! [`sim::Executor`] over the shared `Arc<Program>`, dispatching into
+//! the bytecode VM, the one production engine: the hot `cam_run_step`
+//! loop never hashes a name or touches a `String`. The original
+//! tree-walking `sim::Interpreter` survives as the one *reference
+//! engine*; differential suites hold the two bit-identical (histories,
+//! samples, coverage, error text) across all paper experiments, seeded
+//! campaign mutants, seeded runtime fault plans, fuel budgets, and every
+//! scenario of the fixed-seed CI campaign plan, which is the proof that
+//! the compilation step is semantics-preserving.
 //!
 //! [`rca::RcaSession`] keeps a **program cache** keyed by
 //! [`model::ModelSource::content_hash`] (FNV-1a over every file name and
@@ -187,8 +190,8 @@
 //!   just-constructed state in place — global arena overwritten from the
 //!   program's pristine snapshot (allocation-reusing deep copy), PRNG
 //!   reseeded, history rows / written lengths / coverage bits zeroed —
-//!   and call frames, argument vectors, and array-local buffers are
-//!   pooled across calls and runs. A reset run is bit-identical to a
+//!   and VM call frames and array-local buffers are pooled across calls
+//!   and runs. A reset run is bit-identical to a
 //!   fresh one (the differential suite proves it on every paper
 //!   experiment and on seeded campaign mutants), and a store fill gives
 //!   each rayon worker one pooled executor for its whole chunk of
@@ -283,11 +286,13 @@
 //! diverging** when members fail:
 //!
 //! - **Runtime fault injection** ([`sim::FaultPlan`]): a seeded,
-//!   deterministic chaos axis the [`sim::Executor`] applies mid-run —
-//!   NaN/Inf poisoning and stuck values on chosen outputs, transient or
-//!   persistent member aborts. Executor-only by construction: the
-//!   reference tree-walker ignores it, differential suites run zero-fault
-//!   configurations, and an empty plan leaves the hot path byte-identical.
+//!   deterministic chaos axis applied mid-run — NaN/Inf poisoning and
+//!   stuck values on chosen outputs, transient or persistent member
+//!   aborts. Both engines apply a plan per `(member, attempt)` through
+//!   the same fault code (the [`sim::Executor`] in production, the
+//!   reference tree-walker in the differential suites, which compare the
+//!   two under seeded plans), and an empty plan leaves the hot path
+//!   byte-identical.
 //!   `rca-campaign --runtime-faults S` seeds one plan per scenario from a
 //!   stream independent of the mutation RNG, so the chaos axis never
 //!   perturbs a recorded mutation plan.
@@ -367,8 +372,8 @@
 //!   median-distance variable selection, normalized-RMS comparison.
 //! - [`model`] — the synthetic CESM-like climate model generator with
 //!   ground-truth bug injection.
-//! - [`sim`] — the execution substrate: the compiled slot-indexed engine
-//!   and the reference tree-walker, FMA/AVX2 simulation, PRNG
+//! - [`sim`] — the execution substrate: the compiled bytecode VM and the
+//!   reference tree-walker, FMA/AVX2 simulation, PRNG
 //!   substitution, coverage, runtime sampling, and the columnar
 //!   [`sim::EnsembleRuns`] store behind parallel ensembles.
 //! - [`analysis`] — the static analysis plane: IR dataflow framework,
