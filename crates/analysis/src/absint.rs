@@ -21,7 +21,11 @@
 //! design — the clean-model gate (`rca-lint --assert-clean`) depends on
 //! zero false positives.
 
-use rca_sim::{CExpr, CPlace, CStmt, EId, Intrin, LocalTemplate, Op, Program, Value, VarBind};
+use std::ops::ControlFlow;
+
+use rca_sim::{
+    effects, CExpr, CPlace, CStmt, EId, Effect, Intrin, LocalTemplate, Op, Program, Value, VarBind,
+};
 
 /// A closed interval over f64 (`NEG_INFINITY..INFINITY` = ⊤).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -167,43 +171,18 @@ pub struct Hazard {
     pub line: u32,
 }
 
-/// Global slots never written by any statement in any procedure, with
-/// their (scalar numeric) initial values.
+/// Global slots never written anywhere in the program (no statement,
+/// copy-out, or write-target of any procedure), with their (scalar
+/// numeric) initial values.
 pub fn const_globals(prog: &Program) -> Vec<Option<f64>> {
     let mut written = vec![false; prog.global_count()];
-    let mark_place = |place: &CPlace, written: &mut Vec<bool>| match place {
-        CPlace::Var { bind } | CPlace::Elem { bind, .. } | CPlace::Derived { bind, .. } => {
-            match bind {
-                VarBind::Global(g) | VarBind::LocalOrGlobal(_, g) => written[*g as usize] = true,
-                VarBind::Local(_) => {}
+    for p in 0..prog.ir_procs().len() as u32 {
+        let _ = effects::proc(prog, p, &mut |eff| {
+            if let Some(g) = written_bind(eff).and_then(VarBind::global) {
+                written[g as usize] = true;
             }
-        }
-        CPlace::Invalid { .. } => {}
-    };
-    fn scan(stmts: &[CStmt], f: &mut impl FnMut(&CPlace)) {
-        for s in stmts {
-            match s {
-                CStmt::Assign { place, .. }
-                | CStmt::RandomNumber { place, .. }
-                | CStmt::PbufGet { place, .. } => f(place),
-                CStmt::If { arms, .. } => {
-                    for (_, b) in arms {
-                        scan(b, f);
-                    }
-                }
-                CStmt::Do { body, .. } | CStmt::DoWhile { body, .. } => scan(body, f),
-                _ => {}
-            }
-        }
-    }
-    for p in prog.ir_procs() {
-        scan(&p.body, &mut |place| mark_place(place, &mut written));
-    }
-    // Copy-out writebacks also target caller places.
-    for site in prog.ir_sites() {
-        for (_, place) in &site.copyout {
-            mark_place(place, &mut written);
-        }
+            ControlFlow::Continue(())
+        });
     }
     (0..prog.global_count())
         .map(|g| {
@@ -217,6 +196,14 @@ pub fn const_globals(prog: &Program) -> Vec<Option<f64>> {
             }
         })
         .collect()
+}
+
+/// The binding a write effect targets.
+fn written_bind(eff: Effect<'_>) -> Option<VarBind> {
+    match eff {
+        Effect::Write { place, .. } => place.bind(),
+        _ => None,
+    }
 }
 
 struct Walker<'p> {
@@ -457,54 +444,31 @@ impl<'p> Walker<'p> {
     }
 
     fn invalidate_bind(&mut self, bind: VarBind) {
-        if let VarBind::Local(s) | VarBind::LocalOrGlobal(s, _) = bind {
+        if let Some(s) = bind.local() {
             self.env[s as usize] = Some(Interval::TOP);
         }
     }
 
     fn invalidate_place(&mut self, place: &CPlace) {
-        match place {
-            CPlace::Var { bind } | CPlace::Elem { bind, .. } | CPlace::Derived { bind, .. } => {
-                self.invalidate_bind(*bind);
-            }
-            CPlace::Invalid { .. } => {}
+        if let Some(bind) = place.bind() {
+            self.invalidate_bind(bind);
         }
     }
 
-    /// Slots a statement list may assign (loop pre-invalidation).
+    /// Slots a statement list may assign (loop pre-invalidation): every
+    /// write effect of every nested statement, plus nested loop
+    /// variables.
     fn collect_assigned(&self, stmts: &[CStmt], out: &mut Vec<u32>) {
-        let slot_of = |place: &CPlace| match place {
-            CPlace::Var { bind } | CPlace::Elem { bind, .. } | CPlace::Derived { bind, .. } => {
-                match bind {
-                    VarBind::Local(s) | VarBind::LocalOrGlobal(s, _) => Some(*s),
-                    VarBind::Global(_) => None,
-                }
+        let prog = self.prog;
+        let _ = effects::block(stmts, &mut |s| {
+            if let CStmt::Do { var, .. } = s {
+                out.push(*var);
             }
-            CPlace::Invalid { .. } => None,
-        };
-        for s in stmts {
-            match s {
-                CStmt::Assign { place, .. }
-                | CStmt::RandomNumber { place, .. }
-                | CStmt::PbufGet { place, .. } => out.extend(slot_of(place)),
-                CStmt::Call { site, .. } => {
-                    for (_, place) in &self.prog.ir_sites()[*site as usize].copyout {
-                        out.extend(slot_of(place));
-                    }
-                }
-                CStmt::If { arms, .. } => {
-                    for (_, b) in arms {
-                        self.collect_assigned(b, out);
-                    }
-                }
-                CStmt::Do { var, body, .. } => {
-                    out.push(*var);
-                    self.collect_assigned(body, out);
-                }
-                CStmt::DoWhile { body, .. } => self.collect_assigned(body, out),
-                _ => {}
-            }
-        }
+            effects::stmt(prog, s, &mut |eff| {
+                out.extend(written_bind(eff).and_then(VarBind::local));
+                ControlFlow::Continue(())
+            })
+        });
     }
 
     fn walk(&mut self, stmts: &[CStmt]) {

@@ -20,7 +20,9 @@
 //! graph, and the lints built here restrict themselves to provable
 //! frame-local facts.
 
-use rca_sim::{CExpr, CPlace, CProc, CStmt, EId, LocalTemplate, Program, VarBind};
+use std::ops::ControlFlow;
+
+use rca_sim::{effects, BitSet, CPlace, CProc, CStmt, EId, Effect, Program, ReadKind, VarBind};
 
 /// A tracked storage location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,66 +111,6 @@ impl Cfg {
     }
 }
 
-/// Fixed-width bitset (solver state).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    /// All-zero set over `n` bits.
-    pub fn new(n: usize) -> BitSet {
-        BitSet {
-            words: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    /// Sets bit `i`.
-    pub fn insert(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    /// Clears bit `i`.
-    pub fn remove(&mut self, i: usize) {
-        self.words[i / 64] &= !(1 << (i % 64));
-    }
-
-    /// Tests bit `i`.
-    pub fn contains(&self, i: usize) -> bool {
-        self.words[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    /// `self |= other`; reports whether `self` changed.
-    pub fn union_with(&mut self, other: &BitSet) -> bool {
-        let mut changed = false;
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            let next = *w | o;
-            changed |= next != *w;
-            *w = next;
-        }
-        changed
-    }
-
-    /// `self &= !other`.
-    pub fn subtract(&mut self, other: &BitSet) {
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w &= !o;
-        }
-    }
-
-    /// Indices of set bits, ascending.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64).filter_map(move |b| (w & (1 << b) != 0).then_some(wi * 64 + b))
-        })
-    }
-
-    /// Whether no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-}
-
 /// One local-slot definition site (solver def-id space).
 #[derive(Debug, Clone, Copy)]
 pub struct DefInfo {
@@ -228,6 +170,13 @@ pub struct ProcFlow {
     pub live_out: Vec<BitSet>,
 }
 
+/// The locations an access through `bind` may touch: the frame slot,
+/// then the global.
+fn locs(bind: VarBind) -> impl Iterator<Item = Loc> {
+    let local = bind.local().map(Loc::Local);
+    local.into_iter().chain(bind.global().map(Loc::Global))
+}
+
 struct CfgBuilder<'p> {
     prog: &'p Program,
     proc: &'p CProc,
@@ -255,243 +204,84 @@ impl<'p> CfgBuilder<'p> {
         self.blocks[from as usize].succs.push(to);
     }
 
+    /// A read through `bind`. A `LocalOrGlobal` read consults the slot
+    /// when set, the global otherwise: both are recorded, neither
+    /// certain.
     fn use_of(&mut self, bind: VarBind, line: u32, certain: bool) {
-        match bind {
-            VarBind::Local(s) => self.push(Event::Use {
-                loc: Loc::Local(s),
-                line,
-                certain,
-            }),
-            VarBind::LocalOrGlobal(s, g) => {
-                // Reads consult the slot when set, the global otherwise:
-                // record both, neither certain.
-                self.push(Event::Use {
-                    loc: Loc::Local(s),
-                    line,
-                    certain: false,
-                });
-                self.push(Event::Use {
-                    loc: Loc::Global(g),
-                    line,
-                    certain: false,
-                });
+        let certain = certain && matches!(bind, VarBind::Local(_));
+        for loc in locs(bind) {
+            self.push(Event::Use { loc, line, certain });
+        }
+    }
+
+    /// Records one effect as events: reads are uses (`certain` only for
+    /// a plain or derived-base read of a pure local), writes are defs.
+    /// `origin` labels the statement's own write; copy-out writebacks are
+    /// [`DefOrigin::CopyOut`].
+    fn effect(&mut self, eff: Effect<'_>, line: u32, origin: DefOrigin) -> ControlFlow<()> {
+        match eff {
+            Effect::Read(bind, kind) => self.use_of(bind, line, kind != ReadKind::Index),
+            Effect::Write { place, copy_out } => {
+                let origin = if copy_out { DefOrigin::CopyOut } else { origin };
+                self.def_of(place, line, origin);
             }
-            VarBind::Global(g) => self.push(Event::Use {
-                loc: Loc::Global(g),
-                line,
-                certain: false,
-            }),
+            _ => {}
         }
-    }
-
-    /// Copy-out writebacks after a call: the caller place is written
-    /// unconditionally once the callee returns.
-    fn site_copyout(&mut self, site: u32, line: u32) {
-        let copyout = &self.prog.ir_sites()[site as usize].copyout;
-        for (_, place) in copyout {
-            self.place_def(place, line, DefOrigin::CopyOut);
-        }
-    }
-
-    fn site_args(&mut self, site: u32, line: u32) {
-        let args = &self.prog.ir_sites()[site as usize].args;
-        for &a in args {
-            self.expr(a, line);
-        }
+        ControlFlow::Continue(())
     }
 
     /// Runtime-semantics expression walk: everything evaluated before the
     /// statement acts is a use; calls embed their argument uses and
     /// copy-out defs in evaluation order.
     fn expr(&mut self, e: EId, line: u32) {
-        match &self.prog.ir_exprs()[e as usize] {
-            CExpr::Real(_) | CExpr::Int(_) | CExpr::Str(_) | CExpr::Logical(_) => {}
-            CExpr::Var { bind, .. } => {
-                let certain = matches!(bind, VarBind::Local(_));
-                self.use_of(*bind, line, certain);
-            }
-            CExpr::Index {
-                bind,
-                sub,
-                fallback,
-                ..
-            } => {
-                self.use_of(*bind, line, false);
-                self.expr(*sub, line);
-                if let Some(f) = fallback.as_deref() {
-                    match f {
-                        rca_sim::CallForm::Function(site) => {
-                            // Either path may run; the call's effects are
-                            // recorded (weakly, via copy-out places).
-                            self.site_args(*site, line);
-                            self.site_copyout(*site, line);
-                        }
-                        rca_sim::CallForm::Intrinsic(_, args) => {
-                            for &a in args {
-                                self.expr(a, line);
-                            }
-                        }
-                        rca_sim::CallForm::Unknown => {}
-                    }
-                }
-            }
-            CExpr::CallFn { site } => {
-                self.site_args(*site, line);
-                self.site_copyout(*site, line);
-            }
-            CExpr::Intrinsic { args, .. } => {
-                for &a in args {
-                    self.expr(a, line);
-                }
-            }
-            CExpr::DerivedVar { bind, sub, .. } => {
-                let certain = matches!(bind, VarBind::Local(_));
-                self.use_of(*bind, line, certain);
-                if let Some(s) = sub {
-                    self.expr(*s, line);
-                }
-            }
-            CExpr::DerivedExpr { base, sub, .. } => {
-                self.expr(*base, line);
-                if let Some(s) = sub {
-                    self.expr(*s, line);
-                }
-            }
-            CExpr::Unary { e, .. } => self.expr(*e, line),
-            CExpr::Binary { l, r, .. } => {
-                self.expr(*l, line);
-                self.expr(*r, line);
-            }
-            CExpr::MaybeFma { a, b, c, .. } => {
-                self.expr(*a, line);
-                self.expr(*b, line);
-                self.expr(*c, line);
-            }
-            CExpr::ErrorExpr { .. } => {}
-        }
+        let prog = self.prog;
+        let _ = effects::expr(prog, e, &mut |eff| {
+            self.effect(eff, line, DefOrigin::CopyOut)
+        });
     }
 
-    fn place_def(&mut self, place: &CPlace, line: u32, origin: DefOrigin) {
-        match place {
-            CPlace::Var { bind } => match *bind {
-                VarBind::Local(s) => self.push(Event::Def {
-                    loc: Loc::Local(s),
-                    line,
-                    strong: true,
-                    origin,
-                }),
-                VarBind::LocalOrGlobal(s, g) => {
-                    // The write lands on whichever of the two is active:
-                    // weak on both.
-                    self.push(Event::Def {
-                        loc: Loc::Local(s),
-                        line,
-                        strong: false,
-                        origin,
-                    });
-                    self.push(Event::Def {
-                        loc: Loc::Global(g),
-                        line,
-                        strong: false,
-                        origin,
-                    });
-                }
-                VarBind::Global(g) => self.push(Event::Def {
-                    loc: Loc::Global(g),
-                    line,
-                    strong: true,
-                    origin,
-                }),
-            },
-            CPlace::Elem { bind, sub, .. } => {
-                // Element write: the rest of the array survives — read
-                // plus weak def.
-                self.expr(*sub, line);
-                self.use_of(*bind, line, false);
-                self.weak_def_of(*bind, line, origin);
-            }
-            CPlace::Derived { bind, sub, .. } => {
-                if let Some(s) = sub {
-                    self.expr(*s, line);
-                }
-                self.use_of(*bind, line, false);
-                self.weak_def_of(*bind, line, origin);
-            }
-            CPlace::Invalid { .. } => {}
-        }
+    /// A statement's own operands, its write (if any) labelled `origin`.
+    fn operands(&mut self, s: &CStmt, line: u32, origin: DefOrigin) {
+        let prog = self.prog;
+        let _ = effects::stmt(prog, s, &mut |eff| self.effect(eff, line, origin));
     }
 
-    fn weak_def_of(&mut self, bind: VarBind, line: u32, origin: DefOrigin) {
-        match bind {
-            VarBind::Local(s) => self.push(Event::Def {
-                loc: Loc::Local(s),
-                line,
-                strong: false,
-                origin,
-            }),
-            VarBind::LocalOrGlobal(s, g) => {
-                self.push(Event::Def {
-                    loc: Loc::Local(s),
-                    line,
-                    strong: false,
-                    origin,
-                });
-                self.push(Event::Def {
-                    loc: Loc::Global(g),
-                    line,
-                    strong: false,
-                    origin,
-                });
+    /// A write through `place`. A whole scalar overwrite is strong; an
+    /// element or field write keeps the rest of the container — a read
+    /// plus a weak def. A `LocalOrGlobal` write lands on whichever of the
+    /// two is active: weak on both.
+    fn def_of(&mut self, place: &CPlace, line: u32, origin: DefOrigin) {
+        let (bind, strong) = match place {
+            CPlace::Var { bind } => (*bind, true),
+            CPlace::Elem { bind, .. } | CPlace::Derived { bind, .. } => {
+                self.use_of(*bind, line, false);
+                (*bind, false)
             }
-            VarBind::Global(g) => self.push(Event::Def {
-                loc: Loc::Global(g),
+            CPlace::Invalid { .. } => return,
+        };
+        let strong = strong && !matches!(bind, VarBind::LocalOrGlobal(..));
+        for loc in locs(bind) {
+            self.push(Event::Def {
+                loc,
                 line,
-                strong: false,
+                strong,
                 origin,
-            }),
+            });
         }
     }
 
     fn stmts(&mut self, body: &'p [CStmt], loops: &mut Vec<LoopCtx>) {
         for stmt in body {
             match stmt {
-                CStmt::Assign { place, value, line } => {
-                    self.expr(*value, *line);
-                    self.place_def(place, *line, DefOrigin::Assign);
-                }
-                CStmt::Call { site, line } => {
-                    self.site_args(*site, *line);
-                    self.site_copyout(*site, *line);
-                }
-                CStmt::Outfld {
-                    data, ncol, line, ..
-                } => {
-                    self.expr(*data, *line);
-                    if let Some(n) = ncol {
-                        self.expr(*n, *line);
-                    }
-                }
-                CStmt::RandomNumber {
-                    current,
-                    place,
-                    line,
-                } => {
-                    self.expr(*current, *line);
-                    self.place_def(place, *line, DefOrigin::IntrinsicWrite);
-                }
-                CStmt::PbufSet { idx, data, line } => {
-                    self.expr(*idx, *line);
-                    self.expr(*data, *line);
-                }
-                CStmt::PbufGet {
-                    idx,
-                    current,
-                    place,
-                    line,
-                } => {
-                    self.expr(*idx, *line);
-                    self.expr(*current, *line);
-                    self.place_def(place, *line, DefOrigin::IntrinsicWrite);
+                CStmt::Assign { line, .. } => self.operands(stmt, *line, DefOrigin::Assign),
+                // Of these, only `random_number` / `pbuf_get_field` write
+                // a place of their own; call writes are copy-outs.
+                CStmt::Call { line, .. }
+                | CStmt::Outfld { line, .. }
+                | CStmt::RandomNumber { line, .. }
+                | CStmt::PbufSet { line, .. }
+                | CStmt::PbufGet { line, .. } => {
+                    self.operands(stmt, *line, DefOrigin::IntrinsicWrite);
                 }
                 CStmt::If { arms, line } => {
                     let join = self.new_block();
@@ -525,20 +315,11 @@ impl<'p> CfgBuilder<'p> {
                     self.cur = join;
                 }
                 CStmt::Do {
-                    var,
-                    start,
-                    end,
-                    step,
-                    body,
-                    line,
+                    var, body, line, ..
                 } => {
                     // Bounds evaluate once; the loop variable is assigned
                     // before the first test and again per iteration.
-                    self.expr(*start, *line);
-                    self.expr(*end, *line);
-                    if let Some(s) = step {
-                        self.expr(*s, *line);
-                    }
+                    self.operands(stmt, *line, DefOrigin::DoVar);
                     self.push(Event::Def {
                         loc: Loc::Local(*var),
                         line: *line,
@@ -635,18 +416,9 @@ pub fn build_cfg(prog: &Program, proc_index: u32) -> Cfg {
     // evaluated before their slot is set, so a template reading a
     // later-declared local is a visible uninitialized read.
     for (slot, decl_line, tmpl) in &proc.inits {
-        match tmpl {
-            LocalTemplate::Int(Some(e))
-            | LocalTemplate::Logic(Some(e))
-            | LocalTemplate::Char(Some(e))
-            | LocalTemplate::RealVal(Some(e)) => b.expr(*e, *decl_line),
-            LocalTemplate::Array(extents) => {
-                for &e in extents {
-                    b.expr(e, *decl_line);
-                }
-            }
-            _ => {}
-        }
+        let _ = effects::template(prog, tmpl, &mut |eff| {
+            b.effect(eff, *decl_line, DefOrigin::CopyOut)
+        });
         b.push(Event::Def {
             loc: Loc::Local(*slot),
             line: *decl_line,
@@ -839,7 +611,9 @@ pub fn analyze_proc(prog: &Program, proc_index: u32) -> ProcFlow {
                 match *ev {
                     Event::Use {
                         loc: Loc::Local(s), ..
-                    } => inset.insert(s as usize),
+                    } => {
+                        inset.insert(s as usize);
+                    }
                     Event::Def {
                         loc: Loc::Local(s),
                         strong: true,

@@ -20,6 +20,18 @@
 //!   (`rca-lint` CLI); warnings are definite defects and gate CI at
 //!   zero on the bundled paper models.
 //!
+//! What IR code reads, writes, calls and records comes from one walker,
+//! [`rca_sim::effects`], which the oracle specializer runs on too:
+//! reachability, the dataflow use/def events, the abstract
+//! interpreter's write scans (never-written globals, loop
+//! pre-invalidation) and the unused-output scan are all visitors of it,
+//! and the solvers use the shared [`rca_sim::BitSet`]. Two walks stay
+//! separate on purpose: [`deps`] mirrors the AST metagraph builder's
+//! §4.2 edge rules (arrays atomic, intrinsics localized, control flow
+//! edge-free) — a different semantics, and one half of the agreement
+//! fence — and [`absint`]'s evaluator computes interval values, not
+//! effects.
+//!
 //! [`ModelAnalysis`] bundles all of it for one compiled program; the
 //! campaign uses [`ModelAnalysis::classify_site`] as the static
 //! observability pre-filter that rejects provably-dead injection sites
@@ -31,9 +43,10 @@ pub mod deps;
 pub mod lints;
 pub mod reach;
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use rca_sim::{CStmt, Program, SampleSpec};
+use rca_sim::{effects, Effect, Program, SampleSpec};
 
 pub use deps::{DepGraph, SiteClass, Triple};
 pub use lints::{Finding, LintReport, Severity};
@@ -224,27 +237,13 @@ impl ModelAnalysis {
         // appear in a run history.
         let n_outputs = self.program.output_count();
         let mut live_output = vec![false; n_outputs];
-        fn scan_outflds(stmts: &[CStmt], mark: &mut impl FnMut(u32)) {
-            for s in stmts {
-                match s {
-                    CStmt::Outfld { out, .. } => mark(*out),
-                    CStmt::If { arms, .. } => {
-                        for (_, b) in arms {
-                            scan_outflds(b, mark);
-                        }
-                    }
-                    CStmt::Do { body, .. } | CStmt::DoWhile { body, .. } => {
-                        scan_outflds(body, mark);
-                    }
-                    _ => {}
+        for pi in (0..self.reachable.len()).filter(|&p| self.reachable[p]) {
+            let _ = effects::proc(&self.program, pi as u32, &mut |eff| {
+                if let Effect::Output(o) = eff {
+                    live_output[o as usize] = true;
                 }
-            }
-        }
-        for (pi, proc) in self.program.ir_procs().iter().enumerate() {
-            if !self.reachable[pi] {
-                continue;
-            }
-            scan_outflds(&proc.body, &mut |o| live_output[o as usize] = true);
+                ControlFlow::Continue(())
+            });
         }
         for (o, name) in self.program.output_names().iter().enumerate() {
             if !live_output[o] {

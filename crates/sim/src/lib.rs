@@ -58,9 +58,19 @@
 //! materialize-on-demand edge type; [`kernel`] reproduces the KGen
 //! normalized-RMS comparison that flags FMA-affected Morrison–Gettelman
 //! variables (§6.4).
+//!
+//! [`effects`] is the one walker over the compiled IR's *effects*: the
+//! reads, writes (copy-outs included), calls, PRNG draws, physics-buffer
+//! accesses, history records and deferred errors of an expression, a
+//! place, a statement or an init template, in evaluation order, with
+//! early exit. The oracle specializer ([`specialize`]) and the
+//! `rca_analysis` static plane (reachability, dataflow events, write
+//! scans) both run on it, and share one dense [`BitSet`].
 
+pub mod bitset;
 pub(crate) mod bytecode;
 pub mod compile;
+pub mod effects;
 pub mod exec;
 pub mod fault;
 pub mod interp;
@@ -73,7 +83,9 @@ pub mod specialize;
 pub mod store;
 pub mod value;
 
+pub use bitset::BitSet;
 pub use compile::compile_sources;
+pub use effects::{Effect, ReadKind};
 pub use exec::Executor;
 pub use fault::{Fault, FaultKind, FaultPlan, BUDGET_CONTEXT, FAULT_CONTEXT};
 pub use interp::{Avx2Policy, History, Interpreter, RunConfig, RuntimeError, SampleSpec};

@@ -49,6 +49,24 @@ pub enum VarBind {
     Global(u32),
 }
 
+impl VarBind {
+    /// The frame slot an access may touch, if any.
+    pub fn local(self) -> Option<u32> {
+        match self {
+            VarBind::Local(s) | VarBind::LocalOrGlobal(s, _) => Some(s),
+            VarBind::Global(_) => None,
+        }
+    }
+
+    /// The module-global slot an access may touch, if any.
+    pub fn global(self) -> Option<u32> {
+        match self {
+            VarBind::LocalOrGlobal(_, g) | VarBind::Global(g) => Some(g),
+            VarBind::Local(_) => None,
+        }
+    }
+}
+
 /// What a `name(args)` expression does when the name turns out not to be
 /// a set variable at runtime (the Fortran call-vs-index ambiguity,
 /// resolved in the same order the tree-walker uses).
@@ -267,6 +285,18 @@ pub enum CPlace {
     Invalid {
         msg: Arc<str>,
     },
+}
+
+impl CPlace {
+    /// Binding of the written variable (`None` for an invalid target).
+    pub fn bind(&self) -> Option<VarBind> {
+        match self {
+            CPlace::Var { bind } | CPlace::Elem { bind, .. } | CPlace::Derived { bind, .. } => {
+                Some(*bind)
+            }
+            CPlace::Invalid { .. } => None,
+        }
+    }
 }
 
 /// One `if` / `else if` / `else` arm: optional condition plus block.

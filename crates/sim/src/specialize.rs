@@ -28,6 +28,14 @@
 //! full-program values at every point in time; locations outside `R`
 //! are never read by kept code.
 //!
+//! Both halves of that rule read one enumeration: [`crate::effects`]
+//! yields every statement's reads, writes (copy-outs included), calls,
+//! draws, physics-buffer accesses and deferred errors — the same walk
+//! `rca_analysis` derives reachability, use/def events and write sets
+//! from. [`SpecIndex::build`] folds each proc's effects into transitive
+//! summaries; the keep test stops the walk at the first relevant effect;
+//! a kept statement's effects join `R`.
+//!
 //! The preserved-semantics rules beyond plain dataflow:
 //!
 //! - **control flow**: a kept `if`/`do`/`do while` evaluates all of its
@@ -60,13 +68,14 @@
 //! points, a fixpoint that fails to settle) returns `None`; callers then
 //! use the full program.
 
+use crate::bitset::BitSet;
 use crate::bytecode;
+use crate::effects::{self, Effect};
 use crate::interp::SampleSpec;
-use crate::program::{
-    CExpr, CPlace, CProc, CStmt, CallForm, CallSite, EId, LocalTemplate, Program, VarBind,
-};
+use crate::program::{CPlace, CProc, CStmt, EId, LocalTemplate, Program, VarBind};
 use crate::value::Value;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// A pruned proc body: the surviving statements plus the live-local
@@ -123,7 +132,7 @@ pub fn specialize_with(
         p: program,
         ix: index,
     };
-    let mut rel = Rel::new(program);
+    let mut rel = Rel::new(program, index);
 
     // Driver entry points: the sampler only ever runs `drive`
     // (cam_init + cam_run_step). A program without them is not ours to
@@ -157,25 +166,17 @@ pub fn specialize_with(
         return None;
     }
 
-    // Materialize: prune live bodies against the stable relevance set,
-    // empty dead procs (metadata stays — sample-plan resolution and
+    // Materialize: prune live bodies to their stable keep sets, empty
+    // dead procs (metadata stays — sample-plan resolution and
     // host lookups still need names and slot counts).
-    let mut total = 0usize;
+    let total: usize = index.stmts.iter().sum();
     let mut kept = 0usize;
     let mut procs = Vec::with_capacity(program.procs.len());
     for (i, proc) in program.procs.iter().enumerate() {
         let (body, inits): ProcBodyParts = if rel.live[i] {
-            let body = ctx.prune_block(
-                &mut rel,
-                &reaches_cap,
-                i as u32,
-                &proc.body,
-                &mut total,
-                &mut kept,
-            );
+            let body = prune_block(&rel.kept[i], &proc.body, &mut 0, &mut kept);
             (body, proc.inits.clone())
         } else {
-            total += count_stmts(&proc.body);
             (Box::from([]), Box::from([]))
         };
         // Metadata only — never `..proc.clone()`, which would deep-copy
@@ -229,94 +230,43 @@ pub fn specialize_with(
     })
 }
 
-fn count_stmts(body: &[CStmt]) -> usize {
-    let mut n = 0;
-    for s in body {
-        n += 1;
-        match s {
-            CStmt::If { arms, .. } => {
-                for (_, b) in arms {
-                    n += count_stmts(b);
-                }
-            }
-            CStmt::Do { body, .. } | CStmt::DoWhile { body, .. } => n += count_stmts(body),
-            _ => {}
-        }
-    }
-    n
-}
-
 // ----- relevance state ---------------------------------------------------
 
-/// Dense bitset (globals are a few hundred slots, frames a few dozen).
-#[derive(Clone, Debug)]
-struct Bits {
-    words: Vec<u64>,
-}
-
-impl Bits {
-    fn new(n: usize) -> Bits {
-        Bits {
-            words: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    fn set(&mut self, i: u32) -> bool {
-        let (w, b) = (i as usize / 64, i as usize % 64);
-        let prev = self.words[w];
-        self.words[w] |= 1 << b;
-        self.words[w] != prev
-    }
-
-    fn get(&self, i: u32) -> bool {
-        let (w, b) = (i as usize / 64, i as usize % 64);
-        self.words.get(w).is_some_and(|&x| x >> b & 1 == 1)
-    }
-
-    fn intersects(&self, other: &Bits) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
-    }
-
-    fn union_from(&mut self, other: &Bits) -> bool {
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let prev = *a;
-            *a |= b;
-            changed |= *a != prev;
-        }
-        changed
-    }
-}
-
-/// The growing relevant-location set `R` plus proc liveness.
+/// The growing relevant-location set `R`, proc liveness, and the
+/// statements kept so far.
 struct Rel {
-    globals: Bits,
+    globals: BitSet,
     /// Per proc, by frame slot.
-    locals: Vec<Bits>,
+    locals: Vec<BitSet>,
     pbuf: bool,
     prng: bool,
     live: Vec<bool>,
+    /// Per proc, by statement pre-order index ([`effects::block`]). The
+    /// keep test is monotone in `R` and a statement's joins do not
+    /// depend on `R`, so a kept statement stays kept and is joined once.
+    kept: Vec<BitSet>,
     changed: bool,
 }
 
 impl Rel {
-    fn new(p: &Program) -> Rel {
+    fn new(p: &Program, ix: &SpecIndex) -> Rel {
         Rel {
-            globals: Bits::new(p.globals.len()),
-            locals: p.procs.iter().map(|pr| Bits::new(pr.n_locals)).collect(),
+            globals: BitSet::new(p.globals.len()),
+            locals: p.procs.iter().map(|pr| BitSet::new(pr.n_locals)).collect(),
             pbuf: false,
             prng: false,
             live: vec![false; p.procs.len()],
+            kept: ix.stmts.iter().map(|&n| BitSet::new(n)).collect(),
             changed: false,
         }
     }
 
     fn add_global(&mut self, g: u32) {
-        self.changed |= self.globals.set(g);
+        self.changed |= self.globals.insert(g as usize);
     }
 
     fn add_local(&mut self, proc: u32, slot: u32) {
-        self.changed |= self.locals[proc as usize].set(slot);
+        self.changed |= self.locals[proc as usize].insert(slot as usize);
     }
 
     fn add_pbuf(&mut self) {
@@ -333,6 +283,27 @@ impl Rel {
         self.changed |= !self.live[proc as usize];
         self.live[proc as usize] = true;
     }
+
+    /// Does an access through `bind` in `proc` touch a location in `R`?
+    fn hits(&self, proc: u32, bind: VarBind) -> bool {
+        bind.local()
+            .is_some_and(|s| self.locals[proc as usize].contains(s as usize))
+            || bind
+                .global()
+                .is_some_and(|g| self.globals.contains(g as usize))
+    }
+
+    /// Binding read/write: `LocalOrGlobal` dispatches on slot liveness at
+    /// runtime, so both locations join (definedness must match the full
+    /// program for the dispatch — and therefore the access — to agree).
+    fn add_bind(&mut self, proc: u32, bind: VarBind) {
+        if let Some(s) = bind.local() {
+            self.add_local(proc, s);
+        }
+        if let Some(g) = bind.global() {
+            self.add_global(g);
+        }
+    }
 }
 
 // ----- per-proc transitive effect summaries ------------------------------
@@ -346,7 +317,7 @@ struct Summary {
     /// Module globals the proc (or any transitive callee) may write —
     /// direct places, caller-side copy-out targets, `LocalOrGlobal`
     /// fallbacks included.
-    gwrites: Bits,
+    gwrites: BitSet,
     writes_pbuf: bool,
     draws: bool,
     /// May raise a deferred compile error (`ErrorStmt`/`ErrorExpr`,
@@ -365,6 +336,8 @@ struct Summary {
 pub struct SpecIndex {
     summaries: Vec<Summary>,
     callees: Vec<Vec<u32>>,
+    /// Statements per proc, nested blocks included.
+    stmts: Vec<usize>,
     /// Module globals written through a `CPlace::Derived` with a given
     /// field name anywhere in the program — the module-level capture
     /// scan can observe these through any derived global, so a module
@@ -373,33 +346,55 @@ pub struct SpecIndex {
 }
 
 impl SpecIndex {
-    /// Scans every proc once and closes the effect summaries over the
-    /// call graph.
+    /// Collects every proc's direct effects in one [`effects::proc`]
+    /// walk, then closes the summaries over the call graph.
     pub fn build(p: &Program) -> SpecIndex {
         let mut summaries = Vec::with_capacity(p.procs.len());
         let mut callees = Vec::with_capacity(p.procs.len());
+        let mut stmts = Vec::with_capacity(p.procs.len());
         let mut derived_writers: HashMap<Arc<str>, Vec<u32>> = HashMap::new();
-        for proc in &p.procs {
-            let mut f = Facts {
-                p,
-                sum: Summary {
-                    gwrites: Bits::new(p.globals.len()),
-                    writes_pbuf: false,
-                    draws: false,
-                    may_error: false,
-                },
-                callees: Vec::new(),
-                derived_writers: &mut derived_writers,
+        for i in 0..p.procs.len() {
+            let mut sum = Summary {
+                gwrites: BitSet::new(p.globals.len()),
+                writes_pbuf: false,
+                draws: false,
+                may_error: false,
             };
-            for (_, _, tpl) in &proc.inits {
-                f.template(tpl);
-            }
-            f.block(&proc.body);
-            summaries.push(f.sum);
-            let mut c = f.callees;
-            c.sort_unstable();
-            c.dedup();
-            callees.push(c);
+            let mut calls = Vec::new();
+            let _ = effects::proc(p, i as u32, &mut |eff| {
+                match eff {
+                    Effect::Write { place, .. } => {
+                        if let Some(g) = place.bind().and_then(VarBind::global) {
+                            sum.gwrites.insert(g as usize);
+                            // The module-level capture scan can observe
+                            // this field through any derived global:
+                            // remember the write target.
+                            if let CPlace::Derived { field, .. } = place {
+                                let slots = derived_writers.entry(field.clone()).or_default();
+                                if !slots.contains(&g) {
+                                    slots.push(g);
+                                }
+                            }
+                        }
+                    }
+                    Effect::Call(site) => calls.push(p.sites[site as usize].proc),
+                    Effect::Draw => sum.draws = true,
+                    Effect::PbufWrite => sum.writes_pbuf = true,
+                    Effect::MayError => sum.may_error = true,
+                    Effect::Read(..) | Effect::PbufRead | Effect::Output(_) => {}
+                }
+                ControlFlow::Continue(())
+            });
+            let mut n = 0;
+            let _ = effects::block(&p.procs[i].body, &mut |_| {
+                n += 1;
+                ControlFlow::Continue(())
+            });
+            stmts.push(n);
+            summaries.push(sum);
+            calls.sort_unstable();
+            calls.dedup();
+            callees.push(calls);
         }
         // Transitive closure over the call graph (cycle-safe fixpoint).
         loop {
@@ -411,7 +406,7 @@ impl SpecIndex {
                     }
                     let callee = summaries[q as usize].clone();
                     let s = &mut summaries[i];
-                    changed |= s.gwrites.union_from(&callee.gwrites);
+                    changed |= s.gwrites.union_with(&callee.gwrites);
                     changed |= callee.writes_pbuf && !s.writes_pbuf;
                     s.writes_pbuf |= callee.writes_pbuf;
                     changed |= callee.draws && !s.draws;
@@ -427,6 +422,7 @@ impl SpecIndex {
         SpecIndex {
             summaries,
             callees,
+            stmts,
             derived_writers,
         }
     }
@@ -504,134 +500,169 @@ impl<'p> Ctx<'p> {
         // Frame initialization always runs for a live proc; its extent
         // and initializer expressions are evaluated unconditionally, so
         // their reads must hold full-program values.
-        let inits: &[(u32, u32, LocalTemplate)] = &self.p.procs[proc as usize].inits;
-        for (_, _, tpl) in inits {
-            match tpl {
-                LocalTemplate::Array(extents) => {
-                    for &e in extents {
-                        self.join_expr(rel, reach, proc, e);
-                    }
-                }
-                LocalTemplate::Int(Some(e))
-                | LocalTemplate::Logic(Some(e))
-                | LocalTemplate::Char(Some(e))
-                | LocalTemplate::RealVal(Some(e)) => self.join_expr(rel, reach, proc, *e),
-                _ => {}
-            }
+        let p = self.p;
+        for (_, _, tpl) in &p.procs[proc as usize].inits {
+            let _ = effects::template(p, tpl, &mut |eff| self.join(rel, proc, eff));
         }
-        self.pass_block(rel, reach, proc, &self.p.procs[proc as usize].body);
+        self.pass_block(rel, reach, proc, &p.procs[proc as usize].body, &mut 0);
     }
 
-    fn pass_block(&self, rel: &mut Rel, reach: &[bool], proc: u32, body: &[CStmt]) -> bool {
+    /// Passes a block whose first statement has pre-order index `*next`.
+    fn pass_block(
+        &self,
+        rel: &mut Rel,
+        reach: &[bool],
+        proc: u32,
+        body: &[CStmt],
+        next: &mut usize,
+    ) -> bool {
         let mut any = false;
         for s in body {
-            any |= self.pass_stmt(rel, reach, proc, s);
+            any |= self.pass_stmt(rel, reach, proc, s, next);
         }
         any
     }
 
-    /// Decides whether `s` must stay and, if so, joins everything it
-    /// reads and writes into `R` (the closed-set induction of the module
-    /// docs). Monotone in `R`, so round order cannot change the fixpoint.
-    fn pass_stmt(&self, rel: &mut Rel, reach: &[bool], proc: u32, s: &CStmt) -> bool {
+    /// Decides whether `s` must stay and, the first time it does, joins
+    /// everything its own operands read and write into `R` (the
+    /// closed-set induction of the module docs). Monotone in `R`, so
+    /// round order cannot change the fixpoint.
+    fn pass_stmt(
+        &self,
+        rel: &mut Rel,
+        reach: &[bool],
+        proc: u32,
+        s: &CStmt,
+        next: &mut usize,
+    ) -> bool {
+        let id = *next;
+        *next += 1;
+        let known = rel.kept[proc as usize].contains(id);
+        // Control-transfer statements shape which kept statements run:
+        // always preserved (their containers may still drop). A loop
+        // whose variable is relevant stays.
+        let mut keep = known
+            || matches!(s, CStmt::Return | CStmt::Exit | CStmt::Cycle)
+            || matches!(s, CStmt::Do { var, .. }
+                    if rel.locals[proc as usize].contains(*var as usize))
+            || self.stmt_relevant(rel, reach, proc, s);
+        // Nested blocks prune statement by statement; anything kept
+        // inside keeps its container, whose guards then join `R`. A kept
+        // `if` evaluates every guard on the path to the taken arm, and a
+        // loop's guard reads keep every statement defining them — inside
+        // its body too — so loops iterate exactly as in the full program.
         match s {
-            CStmt::Nop => false,
-            // Control-transfer statements shape which kept statements
-            // run; always preserved (their containers may still drop).
-            CStmt::Return | CStmt::Exit | CStmt::Cycle => true,
-            CStmt::ErrorStmt { .. } => true,
-            CStmt::Assign { place, value, .. } => {
-                let keep = self.place_hits(rel, proc, place)
-                    || matches!(place, CPlace::Invalid { .. })
-                    || self.expr_relevant(rel, reach, proc, *value)
-                    || self.place_sub_relevant(rel, reach, proc, place);
-                if keep {
-                    self.join_place(rel, reach, proc, place);
-                    self.join_expr(rel, reach, proc, *value);
-                }
-                keep
-            }
-            CStmt::Call { site, .. } => {
-                let keep = self.call_relevant(rel, reach, proc, *site);
-                if keep {
-                    self.join_call(rel, reach, proc, *site);
-                }
-                keep
-            }
-            // Oracle runs never read histories: a history write is kept
-            // only for the side effects of its operand expressions.
-            CStmt::Outfld { data, ncol, .. } => {
-                let keep = self.expr_relevant(rel, reach, proc, *data)
-                    || ncol.is_some_and(|n| self.expr_relevant(rel, reach, proc, n));
-                if keep {
-                    self.join_expr(rel, reach, proc, *data);
-                    if let Some(n) = ncol {
-                        self.join_expr(rel, reach, proc, *n);
-                    }
-                }
-                keep
-            }
-            // The PRNG stream is one shared location: once any draw is
-            // relevant, every draw stays (sequence positions matter).
-            CStmt::RandomNumber { current, place, .. } => {
-                let keep = rel.prng
-                    || self.place_hits(rel, proc, place)
-                    || matches!(place, CPlace::Invalid { .. })
-                    || self.expr_relevant(rel, reach, proc, *current)
-                    || self.place_sub_relevant(rel, reach, proc, place);
-                if keep {
-                    rel.add_prng();
-                    self.join_place(rel, reach, proc, place);
-                    self.join_expr(rel, reach, proc, *current);
-                }
-                keep
-            }
-            CStmt::PbufSet { idx, data, .. } => {
-                let keep = rel.pbuf
-                    || self.expr_relevant(rel, reach, proc, *idx)
-                    || self.expr_relevant(rel, reach, proc, *data);
-                if keep {
-                    self.join_expr(rel, reach, proc, *idx);
-                    self.join_expr(rel, reach, proc, *data);
-                }
-                keep
-            }
-            CStmt::PbufGet {
-                idx,
-                current,
-                place,
-                ..
-            } => {
-                let keep = self.place_hits(rel, proc, place)
-                    || matches!(place, CPlace::Invalid { .. })
-                    || self.expr_relevant(rel, reach, proc, *idx)
-                    || self.expr_relevant(rel, reach, proc, *current)
-                    || self.place_sub_relevant(rel, reach, proc, place);
-                if keep {
-                    rel.add_pbuf();
-                    self.join_place(rel, reach, proc, place);
-                    self.join_expr(rel, reach, proc, *idx);
-                    self.join_expr(rel, reach, proc, *current);
-                }
-                keep
-            }
-            // A kept `if` evaluates every guard on the path to the taken
-            // arm, so all conditions join `R`; bodies prune per arm.
             CStmt::If { arms, .. } => {
-                let mut keep = arms
-                    .iter()
-                    .any(|(c, _)| c.is_some_and(|c| self.expr_relevant(rel, reach, proc, c)));
                 for (_, b) in arms {
-                    keep |= self.pass_block(rel, reach, proc, b);
+                    keep |= self.pass_block(rel, reach, proc, b, next);
                 }
-                if keep {
-                    for (c, _) in arms {
-                        if let Some(c) = c {
-                            self.join_expr(rel, reach, proc, *c);
-                        }
-                    }
+            }
+            CStmt::Do { body, .. } | CStmt::DoWhile { body, .. } => {
+                keep |= self.pass_block(rel, reach, proc, body, next);
+            }
+            _ => {}
+        }
+        if keep && !known {
+            rel.kept[proc as usize].insert(id);
+            if let CStmt::Do { var, .. } = s {
+                rel.add_local(proc, *var);
+            }
+            let _ = effects::stmt(self.p, s, &mut |eff| self.join(rel, proc, eff));
+        }
+        keep
+    }
+
+    /// Whether any effect of `s`'s own operands forces keeping it.
+    fn stmt_relevant(&self, rel: &Rel, reach: &[bool], proc: u32, s: &CStmt) -> bool {
+        effects::stmt(self.p, s, &mut |eff| {
+            if self.relevant(rel, reach, proc, eff) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .is_break()
+    }
+
+    /// The keep rule per effect: a write to a location in `R`, a call
+    /// whose callee could touch `R` (or must keep its invocation count,
+    /// or may fail), a deferred error, a draw once the PRNG stream is
+    /// relevant, a physics-buffer write once the buffer is. Reads never
+    /// force a statement; they join `R` once it is kept. Oracle runs
+    /// never read histories, so an `outfld` record is no reason either.
+    fn relevant(&self, rel: &Rel, reach: &[bool], proc: u32, eff: Effect<'_>) -> bool {
+        match eff {
+            Effect::Write { place, .. } => place.bind().is_some_and(|b| rel.hits(proc, b)),
+            Effect::Call(site) => {
+                let callee = self.p.sites[site as usize].proc as usize;
+                let s = &self.ix.summaries[callee];
+                s.may_error
+                    || reach[callee]
+                    || (s.writes_pbuf && rel.pbuf)
+                    || (s.draws && rel.prng)
+                    || s.gwrites.intersects(&rel.globals)
+            }
+            Effect::MayError => true,
+            Effect::Draw => rel.prng,
+            Effect::PbufWrite => rel.pbuf,
+            Effect::Read(..) | Effect::PbufRead | Effect::Output(_) => false,
+        }
+    }
+
+    /// Joins one effect of kept code into `R` (full read- and
+    /// write-closure: kept code must never read a location outside `R`,
+    /// or its value — and even its definedness — could diverge; partial
+    /// updates `a(i) = v` read their container, and keeping every def of
+    /// a written location is what makes `R` self-consistent). An
+    /// executed call makes its callee live and reads the callee's result
+    /// and copy-out source slots; the PRNG stream and the physics buffer
+    /// join when drawn from or read.
+    fn join(&self, rel: &mut Rel, proc: u32, eff: Effect<'_>) -> ControlFlow<()> {
+        match eff {
+            Effect::Read(bind, _) => rel.add_bind(proc, bind),
+            Effect::Write { place, .. } => {
+                if let Some(b) = place.bind() {
+                    rel.add_bind(proc, b);
                 }
-                keep
+            }
+            Effect::Call(site) => {
+                let cs = &self.p.sites[site as usize];
+                rel.mark_live(cs.proc);
+                if let Some(r) = self.p.procs[cs.proc as usize].result_slot {
+                    rel.add_local(cs.proc, r);
+                }
+                for (dummy, _) in &cs.copyout {
+                    rel.add_local(cs.proc, *dummy);
+                }
+            }
+            Effect::Draw => rel.add_prng(),
+            Effect::PbufRead => rel.add_pbuf(),
+            Effect::PbufWrite | Effect::Output(_) | Effect::MayError => {}
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// Rebuilds a block keeping exactly the statements marked in `kept` (a
+/// proc's keep set at the stable fixpoint, indexed in pre-order from
+/// `*next`), counting them into `n_kept`.
+fn prune_block(
+    kept: &BitSet,
+    body: &[CStmt],
+    next: &mut usize,
+    n_kept: &mut usize,
+) -> Box<[CStmt]> {
+    let mut out = Vec::new();
+    for s in body {
+        let keep = kept.contains(*next);
+        *next += 1;
+        let pruned = match s {
+            CStmt::If { arms, line } => {
+                let arms: PrunedArms = arms
+                    .iter()
+                    .map(|(c, b)| (*c, prune_block(kept, b, next, n_kept)))
+                    .collect();
+                CStmt::If { arms, line: *line }
             }
             CStmt::Do {
                 var,
@@ -639,524 +670,29 @@ impl<'p> Ctx<'p> {
                 end,
                 step,
                 body,
-                ..
-            } => {
-                let mut keep = rel.locals[proc as usize].get(*var)
-                    || self.expr_relevant(rel, reach, proc, *start)
-                    || self.expr_relevant(rel, reach, proc, *end)
-                    || step.is_some_and(|e| self.expr_relevant(rel, reach, proc, e));
-                keep |= self.pass_block(rel, reach, proc, body);
-                if keep {
-                    rel.add_local(proc, *var);
-                    self.join_expr(rel, reach, proc, *start);
-                    self.join_expr(rel, reach, proc, *end);
-                    if let Some(e) = step {
-                        self.join_expr(rel, reach, proc, *e);
-                    }
-                }
-                keep
-            }
-            CStmt::DoWhile { cond, body, .. } => {
-                let mut keep = self.expr_relevant(rel, reach, proc, *cond);
-                keep |= self.pass_block(rel, reach, proc, body);
-                if keep {
-                    // Guard reads join R, which keeps every statement
-                    // defining them — including inside this body — so
-                    // the loop terminates exactly as the full program.
-                    self.join_expr(rel, reach, proc, *cond);
-                }
-                keep
-            }
+                line,
+            } => CStmt::Do {
+                var: *var,
+                start: *start,
+                end: *end,
+                step: *step,
+                body: prune_block(kept, body, next, n_kept),
+                line: *line,
+            },
+            CStmt::DoWhile { cond, body, line } => CStmt::DoWhile {
+                cond: *cond,
+                body: prune_block(kept, body, next, n_kept),
+                line: *line,
+            },
+            _ if keep => s.clone(),
+            _ => continue,
+        };
+        if keep {
+            *n_kept += 1;
+            out.push(pruned);
         }
     }
-
-    /// Does executing a call to `site` have effects the slice observes?
-    fn call_relevant(&self, rel: &Rel, reach: &[bool], proc: u32, site: u32) -> bool {
-        let cs: &CallSite = &self.p.sites[site as usize];
-        self.summary_relevant(rel, reach, cs.proc)
-            || cs.copyout.iter().any(|(_, pl)| {
-                self.place_hits(rel, proc, pl) || matches!(pl, CPlace::Invalid { .. })
-            })
-            || cs
-                .args
-                .iter()
-                .any(|&a| self.expr_relevant(rel, reach, proc, a))
-            || cs
-                .copyout
-                .iter()
-                .any(|(_, pl)| self.place_sub_relevant(rel, reach, proc, pl))
-    }
-
-    fn summary_relevant(&self, rel: &Rel, reach: &[bool], callee: u32) -> bool {
-        let s = &self.ix.summaries[callee as usize];
-        s.may_error
-            || reach[callee as usize]
-            || (s.writes_pbuf && rel.pbuf)
-            || (s.draws && rel.prng)
-            || s.gwrites.intersects(&rel.globals)
-    }
-
-    /// Whether evaluating `e` has effects that force keeping its
-    /// statement: a deferred error, or a (possibly nested) call whose
-    /// callee's transitive summary is relevant or whose copy-out writes
-    /// a relevant caller location.
-    fn expr_relevant(&self, rel: &Rel, reach: &[bool], proc: u32, e: EId) -> bool {
-        match &self.p.exprs[e as usize] {
-            CExpr::ErrorExpr { .. } => true,
-            CExpr::CallFn { site } => self.call_relevant(rel, reach, proc, *site),
-            CExpr::Index { sub, fallback, .. } => {
-                self.expr_relevant(rel, reach, proc, *sub)
-                    || match fallback.as_deref() {
-                        Some(CallForm::Function(site)) => {
-                            self.call_relevant(rel, reach, proc, *site)
-                        }
-                        Some(CallForm::Intrinsic(_, args)) => args
-                            .iter()
-                            .any(|&a| self.expr_relevant(rel, reach, proc, a)),
-                        // Unresolvable name: errors if the fallback ever
-                        // triggers — keep so failures still fire.
-                        Some(CallForm::Unknown) => true,
-                        None => false,
-                    }
-            }
-            CExpr::Intrinsic { args, .. } => args
-                .iter()
-                .any(|&a| self.expr_relevant(rel, reach, proc, a)),
-            CExpr::DerivedVar { sub, .. } => {
-                sub.is_some_and(|s| self.expr_relevant(rel, reach, proc, s))
-            }
-            CExpr::DerivedExpr { base, sub, .. } => {
-                self.expr_relevant(rel, reach, proc, *base)
-                    || sub.is_some_and(|s| self.expr_relevant(rel, reach, proc, s))
-            }
-            CExpr::Unary { e, .. } => self.expr_relevant(rel, reach, proc, *e),
-            CExpr::Binary { l, r, .. } => {
-                self.expr_relevant(rel, reach, proc, *l) || self.expr_relevant(rel, reach, proc, *r)
-            }
-            CExpr::MaybeFma { a, b, c, l, r, .. } => [*a, *b, *c, *l, *r]
-                .iter()
-                .any(|&x| self.expr_relevant(rel, reach, proc, x)),
-            CExpr::Real(_)
-            | CExpr::Int(_)
-            | CExpr::Str(_)
-            | CExpr::Logical(_)
-            | CExpr::Var { .. } => false,
-        }
-    }
-
-    /// Does `place` write at least one location already in `R`?
-    fn place_hits(&self, rel: &Rel, proc: u32, place: &CPlace) -> bool {
-        match place {
-            CPlace::Var { bind } | CPlace::Elem { bind, .. } | CPlace::Derived { bind, .. } => {
-                self.bind_hits(rel, proc, *bind)
-            }
-            CPlace::Invalid { .. } => false,
-        }
-    }
-
-    fn bind_hits(&self, rel: &Rel, proc: u32, bind: VarBind) -> bool {
-        match bind {
-            VarBind::Local(s) => rel.locals[proc as usize].get(s),
-            VarBind::LocalOrGlobal(s, g) => rel.locals[proc as usize].get(s) || rel.globals.get(g),
-            VarBind::Global(g) => rel.globals.get(g),
-        }
-    }
-
-    /// Do a place's subscript expressions carry relevant effects?
-    fn place_sub_relevant(&self, rel: &Rel, reach: &[bool], proc: u32, place: &CPlace) -> bool {
-        match place {
-            CPlace::Elem { sub, .. } => self.expr_relevant(rel, reach, proc, *sub),
-            CPlace::Derived { sub, .. } => {
-                sub.is_some_and(|s| self.expr_relevant(rel, reach, proc, s))
-            }
-            _ => false,
-        }
-    }
-
-    // ----- closure joins --------------------------------------------------
-
-    /// Binding read/write: `LocalOrGlobal` dispatches on slot liveness at
-    /// runtime, so both locations join (definedness must match the full
-    /// program for the dispatch — and therefore the access — to agree).
-    fn join_bind(&self, rel: &mut Rel, proc: u32, bind: VarBind) {
-        match bind {
-            VarBind::Local(s) => rel.add_local(proc, s),
-            VarBind::LocalOrGlobal(s, g) => {
-                rel.add_local(proc, s);
-                rel.add_global(g);
-            }
-            VarBind::Global(g) => rel.add_global(g),
-        }
-    }
-
-    /// Kept-statement write targets join `R` (write-closure): partial
-    /// updates (`a(i) = v`, `x%f = v`) read their container, and keeping
-    /// every def of a written location is what makes `R` self-consistent.
-    fn join_place(&self, rel: &mut Rel, reach: &[bool], proc: u32, place: &CPlace) {
-        match place {
-            CPlace::Var { bind } => self.join_bind(rel, proc, *bind),
-            CPlace::Elem { bind, sub, .. } => {
-                self.join_bind(rel, proc, *bind);
-                self.join_expr(rel, reach, proc, *sub);
-            }
-            CPlace::Derived { bind, sub, .. } => {
-                self.join_bind(rel, proc, *bind);
-                if let Some(s) = sub {
-                    self.join_expr(rel, reach, proc, *s);
-                }
-            }
-            CPlace::Invalid { .. } => {}
-        }
-    }
-
-    /// An executed call: callee becomes live, its result and copy-out
-    /// source slots are read, argument expressions are evaluated in the
-    /// caller, and copy-out targets are caller writes.
-    fn join_call(&self, rel: &mut Rel, reach: &[bool], proc: u32, site: u32) {
-        let cs: &CallSite = &self.p.sites[site as usize];
-        rel.mark_live(cs.proc);
-        if let Some(r) = self.p.procs[cs.proc as usize].result_slot {
-            rel.add_local(cs.proc, r);
-        }
-        for &a in &cs.args {
-            self.join_expr(rel, reach, proc, a);
-        }
-        for (dummy, pl) in &cs.copyout {
-            rel.add_local(cs.proc, *dummy);
-            self.join_place(rel, reach, proc, pl);
-        }
-    }
-
-    /// Joins every location an executed expression reads (full
-    /// read-closure: kept code must never read a location outside `R`,
-    /// or its value — and even its definedness — could diverge).
-    fn join_expr(&self, rel: &mut Rel, reach: &[bool], proc: u32, e: EId) {
-        match &self.p.exprs[e as usize] {
-            CExpr::Var { bind, .. } => self.join_bind(rel, proc, *bind),
-            CExpr::Index {
-                bind,
-                sub,
-                fallback,
-                ..
-            } => {
-                self.join_bind(rel, proc, *bind);
-                self.join_expr(rel, reach, proc, *sub);
-                match fallback.as_deref() {
-                    Some(CallForm::Function(site)) => self.join_call(rel, reach, proc, *site),
-                    Some(CallForm::Intrinsic(_, args)) => {
-                        for &a in args {
-                            self.join_expr(rel, reach, proc, a);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            CExpr::CallFn { site } => self.join_call(rel, reach, proc, *site),
-            CExpr::Intrinsic { args, .. } => {
-                for &a in args {
-                    self.join_expr(rel, reach, proc, a);
-                }
-            }
-            CExpr::DerivedVar { bind, sub, .. } => {
-                self.join_bind(rel, proc, *bind);
-                if let Some(s) = sub {
-                    self.join_expr(rel, reach, proc, *s);
-                }
-            }
-            CExpr::DerivedExpr { base, sub, .. } => {
-                self.join_expr(rel, reach, proc, *base);
-                if let Some(s) = sub {
-                    self.join_expr(rel, reach, proc, *s);
-                }
-            }
-            CExpr::Unary { e, .. } => self.join_expr(rel, reach, proc, *e),
-            CExpr::Binary { l, r, .. } => {
-                self.join_expr(rel, reach, proc, *l);
-                self.join_expr(rel, reach, proc, *r);
-            }
-            CExpr::MaybeFma { a, b, c, l, r, .. } => {
-                for &x in &[*a, *b, *c, *l, *r] {
-                    self.join_expr(rel, reach, proc, x);
-                }
-            }
-            CExpr::Real(_)
-            | CExpr::Int(_)
-            | CExpr::Str(_)
-            | CExpr::Logical(_)
-            | CExpr::ErrorExpr { .. } => {}
-        }
-    }
-
-    // ----- materialization ------------------------------------------------
-
-    /// Rebuilds a block keeping exactly the statements the (stable)
-    /// relevance set decided on. `rel` is passed mutably only so the keep
-    /// logic is shared verbatim with the fixpoint pass; at a stable
-    /// fixpoint the joins are no-ops.
-    fn prune_block(
-        &self,
-        rel: &mut Rel,
-        reach: &[bool],
-        proc: u32,
-        body: &[CStmt],
-        total: &mut usize,
-        kept: &mut usize,
-    ) -> Box<[CStmt]> {
-        let mut out = Vec::new();
-        for s in body {
-            *total += 1;
-            let keep = self.pass_stmt(rel, reach, proc, s);
-            match s {
-                CStmt::If { arms, line } => {
-                    let pruned: PrunedArms = arms
-                        .iter()
-                        .map(|(c, b)| (*c, self.prune_block(rel, reach, proc, b, total, kept)))
-                        .collect();
-                    if keep {
-                        *kept += 1;
-                        out.push(CStmt::If {
-                            arms: pruned,
-                            line: *line,
-                        });
-                    }
-                }
-                CStmt::Do {
-                    var,
-                    start,
-                    end,
-                    step,
-                    body,
-                    line,
-                } => {
-                    let pruned = self.prune_block(rel, reach, proc, body, total, kept);
-                    if keep {
-                        *kept += 1;
-                        out.push(CStmt::Do {
-                            var: *var,
-                            start: *start,
-                            end: *end,
-                            step: *step,
-                            body: pruned,
-                            line: *line,
-                        });
-                    }
-                }
-                CStmt::DoWhile { cond, body, line } => {
-                    let pruned = self.prune_block(rel, reach, proc, body, total, kept);
-                    if keep {
-                        *kept += 1;
-                        out.push(CStmt::DoWhile {
-                            cond: *cond,
-                            body: pruned,
-                            line: *line,
-                        });
-                    }
-                }
-                other => {
-                    if keep {
-                        *kept += 1;
-                        out.push(other.clone());
-                    }
-                }
-            }
-        }
-        out.into_boxed_slice()
-    }
-}
-
-// ----- direct per-proc fact collection -----------------------------------
-
-/// One proc's direct (non-transitive) effect facts, gathered in a single
-/// walk over its body, init templates, and every call site it references
-/// (including argument and copy-out subexpressions).
-struct Facts<'a, 'p> {
-    p: &'p Program,
-    sum: Summary,
-    callees: Vec<u32>,
-    derived_writers: &'a mut HashMap<Arc<str>, Vec<u32>>,
-}
-
-impl Facts<'_, '_> {
-    fn template(&mut self, tpl: &LocalTemplate) {
-        match tpl {
-            LocalTemplate::Array(extents) => {
-                for &e in extents {
-                    self.expr(e);
-                }
-            }
-            LocalTemplate::Int(Some(e))
-            | LocalTemplate::Logic(Some(e))
-            | LocalTemplate::Char(Some(e))
-            | LocalTemplate::RealVal(Some(e)) => self.expr(*e),
-            LocalTemplate::Error(..) => self.sum.may_error = true,
-            _ => {}
-        }
-    }
-
-    fn block(&mut self, body: &[CStmt]) {
-        for s in body {
-            self.stmt(s);
-        }
-    }
-
-    fn stmt(&mut self, s: &CStmt) {
-        match s {
-            CStmt::Assign { place, value, .. } => {
-                self.place(place);
-                self.expr(*value);
-            }
-            CStmt::Call { site, .. } => self.site(*site),
-            CStmt::Outfld { data, ncol, .. } => {
-                self.expr(*data);
-                if let Some(n) = ncol {
-                    self.expr(*n);
-                }
-            }
-            CStmt::RandomNumber { current, place, .. } => {
-                self.sum.draws = true;
-                self.place(place);
-                self.expr(*current);
-            }
-            CStmt::PbufSet { idx, data, .. } => {
-                self.sum.writes_pbuf = true;
-                self.expr(*idx);
-                self.expr(*data);
-            }
-            CStmt::PbufGet {
-                idx,
-                current,
-                place,
-                ..
-            } => {
-                self.place(place);
-                self.expr(*idx);
-                self.expr(*current);
-            }
-            CStmt::If { arms, .. } => {
-                for (c, b) in arms {
-                    if let Some(c) = c {
-                        self.expr(*c);
-                    }
-                    self.block(b);
-                }
-            }
-            CStmt::Do {
-                start,
-                end,
-                step,
-                body,
-                ..
-            } => {
-                self.expr(*start);
-                self.expr(*end);
-                if let Some(e) = step {
-                    self.expr(*e);
-                }
-                self.block(body);
-            }
-            CStmt::DoWhile { cond, body, .. } => {
-                self.expr(*cond);
-                self.block(body);
-            }
-            CStmt::ErrorStmt { .. } => self.sum.may_error = true,
-            CStmt::Return | CStmt::Exit | CStmt::Cycle | CStmt::Nop => {}
-        }
-    }
-
-    fn site(&mut self, site: u32) {
-        let cs: &CallSite = &self.p.sites[site as usize];
-        self.callees.push(cs.proc);
-        for &a in &cs.args {
-            self.expr(a);
-        }
-        for (_, pl) in &cs.copyout {
-            self.place(pl);
-        }
-    }
-
-    fn place(&mut self, place: &CPlace) {
-        match place {
-            CPlace::Var { bind } => self.bind_write(*bind),
-            CPlace::Elem { bind, sub, .. } => {
-                self.bind_write(*bind);
-                self.expr(*sub);
-            }
-            CPlace::Derived {
-                bind, field, sub, ..
-            } => {
-                self.bind_write(*bind);
-                if let Some(s) = sub {
-                    self.expr(*s);
-                }
-                // The module-level capture scan can observe this field
-                // through any derived global: remember the write target.
-                if let VarBind::LocalOrGlobal(_, g) | VarBind::Global(g) = bind {
-                    let slots = self.derived_writers.entry(field.clone()).or_default();
-                    if !slots.contains(g) {
-                        slots.push(*g);
-                    }
-                }
-            }
-            CPlace::Invalid { .. } => self.sum.may_error = true,
-        }
-    }
-
-    fn bind_write(&mut self, bind: VarBind) {
-        if let VarBind::LocalOrGlobal(_, g) | VarBind::Global(g) = bind {
-            self.sum.gwrites.set(g);
-        }
-    }
-
-    fn expr(&mut self, e: EId) {
-        match &self.p.exprs[e as usize] {
-            CExpr::ErrorExpr { .. } => self.sum.may_error = true,
-            CExpr::CallFn { site } => self.site(*site),
-            CExpr::Index { sub, fallback, .. } => {
-                self.expr(*sub);
-                match fallback.as_deref() {
-                    Some(CallForm::Function(site)) => self.site(*site),
-                    Some(CallForm::Intrinsic(_, args)) => {
-                        for &a in args {
-                            self.expr(a);
-                        }
-                    }
-                    Some(CallForm::Unknown) => self.sum.may_error = true,
-                    None => {}
-                }
-            }
-            CExpr::Intrinsic { args, .. } => {
-                for &a in args {
-                    self.expr(a);
-                }
-            }
-            CExpr::DerivedVar { sub, .. } => {
-                if let Some(s) = sub {
-                    self.expr(*s);
-                }
-            }
-            CExpr::DerivedExpr { base, sub, .. } => {
-                self.expr(*base);
-                if let Some(s) = sub {
-                    self.expr(*s);
-                }
-            }
-            CExpr::Unary { e, .. } => self.expr(*e),
-            CExpr::Binary { l, r, .. } => {
-                self.expr(*l);
-                self.expr(*r);
-            }
-            CExpr::MaybeFma { a, b, c, l, r, .. } => {
-                for &x in &[*a, *b, *c, *l, *r] {
-                    self.expr(x);
-                }
-            }
-            CExpr::Real(_)
-            | CExpr::Int(_)
-            | CExpr::Str(_)
-            | CExpr::Logical(_)
-            | CExpr::Var { .. } => {}
-        }
-    }
+    out.into_boxed_slice()
 }
 
 #[cfg(test)]

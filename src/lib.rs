@@ -87,8 +87,11 @@
 //!   the statement level and the program is re-materialized with every
 //!   statement outside the slice pruned (control flow, PRNG draw
 //!   positions, and capture-procedure invocation counts preserved), then
-//!   re-lowered to bytecode. Specialized programs share the base
-//!   program's interned arenas (`Arc`) and are cached per spec-set key.
+//!   re-lowered to bytecode. What each statement reads, writes, calls
+//!   and draws comes from [`sim::effects`], the one IR effects walker the
+//!   static analysis plane below also runs on. Specialized programs
+//!   share the base program's interned arenas (`Arc`) and are cached per
+//!   spec-set key.
 //! - **Per-node memoization**: verdicts are keyed by metagraph `NodeId`;
 //!   refinement re-queries overlapping node sets every iteration, and a
 //!   memo hit answers without any run at all.
@@ -106,7 +109,10 @@
 //! end to end: a fixed-seed `--oracle runtime` campaign with
 //! `--oracle-fastpath off` ([`rca::RcaSessionBuilder::oracle_fastpath`])
 //! must produce a byte-identical scorecard to the default fastpath-on
-//! run, and `sim_throughput`'s `oracle_fastpath` entry asserts the
+//! run (per-module FMA-toggle and PRNG-swap mutants get the same on/off
+//! check in `oracle_fastpath_config_mutants.rs`), a golden digest pins
+//! the specializer's kept-statement counts for every single-global
+//! capture, and `sim_throughput`'s `oracle_fastpath` entry asserts the
 //! specialized query pair stays ≥2× faster than the full pair.
 //!
 //! ## Migrating from the 0.1 free functions
@@ -254,14 +260,19 @@
 //!   events and worklist solvers (reaching definitions, def-use chains,
 //!   liveness), call-graph reachability from the host entry points, and
 //!   an interval/sign abstract interpretation for definite numeric
-//!   hazards.
+//!   hazards. Reachability, the use/def events, the interpreter's write
+//!   scans and the output scan all enumerate IR effects through
+//!   [`sim::effects`] (shared with the oracle specializer, together with
+//!   [`sim::BitSet`]); only the §4.2 dependence mirror and the per-value
+//!   interval evaluation keep walks of their own.
 //! - **Lint catalog** ([`analysis::ModelAnalysis::lint`], `rca-lint`
 //!   CLI): uninitialized-read, dead-store/redundant-store, unreachable
 //!   procedure, unused output, unused sample spec, division-by-zero /
 //!   sqrt/log domain hazards, and const-foldable subexpressions —
 //!   deterministic string-keyed JSON, byte-identical across runs and
 //!   thread counts. CI gates the bundled paper models at zero warnings
-//!   and proves a seeded mutant still raises one.
+//!   and proves a seeded mutant still raises one; a golden-digest test
+//!   pins both JSON artifacts byte for byte.
 //! - **Slicer-agreement invariant**: [`analysis::DepGraph`] is a
 //!   *second, independent* implementation of §4.2 dependence extraction,
 //!   built from the IR instead of the AST. A differential suite holds it
